@@ -1,21 +1,19 @@
-// E14/E17 — hot-path ablation: copy-on-write run state, the run/binding
-// arena, the per-event predicate cache, the bytecode VM and batched
-// columnar ingest, measured on a fork-heavy SKIP_TILL_ANY_MATCH workload
+// E17 — the matcher hot path on a fork-heavy SKIP_TILL_ANY_MATCH workload
 // (every Kleene extension forks a run, so run-clone and predicate cost
 // dominate the matcher). Reports throughput and heap allocations per event
-// for the layered configurations:
+// for the engine's one configuration, replayed two ways:
 //
-//   legacy_deep_copy     cow_bindings=0 use_arena=0 predicate_cache=0
-//   cow                  cow_bindings=1
-//   cow_arena            cow_bindings=1 use_arena=1
-//   cow_arena_predcache  all three on
-//   full_bytecode        + bytecode_eval=1 (the engine default)
-//   full_bytecode_batch  + PushAll batched ingest (ProbeBatch screening)
+//   push      one Engine::Push per event
+//   push_all  one Engine::PushAll over the stream (batched ProbeBatch
+//             screening)
 //
-// Before timing, every mode's ranked output — serial and sharded(2) — is
-// checked bit-identical against the legacy baseline, so the numbers can
-// only come from configurations proven observationally equivalent.
-// Numbers are recorded in docs/BENCHMARKS.md (E14, E17).
+// Before timing, both replays' ranked output — serial and sharded(2) — is
+// checked bit-identical against a serial run under RankerPolicy::kNaiveSort
+// (the paper's sort-everything baseline ranker), so the numbers can only
+// come from a configuration whose output an independent ranker confirms.
+// The layered ablation rows (legacy deep copy, arena, predicate cache, AST
+// evaluation) were measured at commit 25ac09d and are kept in
+// docs/BENCHMARKS.md (E14, E17) as history.
 
 #include <atomic>
 #include <cstdlib>
@@ -54,24 +52,15 @@ namespace {
 
 struct Mode {
   const char* label;
-  bool cow_bindings;
-  bool use_arena;
-  bool predicate_cache;
-  bool bytecode_eval;
-  bool batch_ingest;  // replay via PushAll (batched screening) vs Push
+  bool push_all;  // replay via PushAll (batched screening) vs Push
 };
 
-constexpr Mode kLegacy = {"legacy_deep_copy", false, false, false, false, false};
-constexpr Mode kCow = {"cow", true, false, false, false, false};
-constexpr Mode kCowArena = {"cow_arena", true, true, false, false, false};
-constexpr Mode kFull = {"cow_arena_predcache", true, true, true, false, false};
-constexpr Mode kBytecode = {"full_bytecode", true, true, true, true, false};
-constexpr Mode kBytecodeBatch = {"full_bytecode_batch", true, true, true, true,
-                                 true};
+constexpr Mode kPush = {"push", false};
+constexpr Mode kPushAll = {"push_all", true};
 
 // Fork-heavy dip query: SKIP_TILL_ANY_MATCH + a mixed event-only /
 // correlated WHERE. The run cap keeps the fork population bounded the same
-// deterministic way in every mode.
+// deterministic way in every replay.
 std::string HotQuery() {
   return "SELECT a.symbol, a.price, MIN(b.price), c.price "
          "FROM Stock MATCH PATTERN SEQ(a, b+, c) "
@@ -84,13 +73,10 @@ std::string HotQuery() {
          "LIMIT 10 EMIT ON WINDOW CLOSE";
 }
 
-QueryOptions HotOptions(const Mode& mode) {
+QueryOptions HotOptions(RankerPolicy ranker = RankerPolicy::kPruned) {
   QueryOptions options;
+  options.ranker = ranker;
   options.matcher.max_active_runs = 256;
-  options.matcher.cow_bindings = mode.cow_bindings;
-  options.matcher.use_arena = mode.use_arena;
-  options.matcher.predicate_cache = mode.predicate_cache;
-  options.matcher.bytecode_eval = mode.bytecode_eval;
   return options;
 }
 
@@ -98,13 +84,14 @@ const std::vector<Event>& HotStream(size_t n) {
   return StockStream(n, /*v_probability=*/0.05, /*num_symbols=*/4);
 }
 
-std::vector<RankedResult> RunSerialMode(const Mode& mode, size_t n) {
+std::vector<RankedResult> RunSerialMode(const Mode& mode, size_t n,
+                                       RankerPolicy ranker = RankerPolicy::kPruned) {
   auto engine = StockEngine();
   CollectSink sink;
   const Status s =
-      engine->RegisterQuery("q", HotQuery(), HotOptions(mode), &sink);
+      engine->RegisterQuery("q", HotQuery(), HotOptions(ranker), &sink);
   CEPR_CHECK(s.ok()) << s.ToString();
-  if (mode.batch_ingest) {
+  if (mode.push_all) {
     ReplayBatch(engine.get(), HotStream(n));
   } else {
     Replay(engine.get(), HotStream(n));
@@ -118,10 +105,9 @@ std::vector<RankedResult> RunShardedMode(const Mode& mode, size_t n) {
   ShardedEngine engine(engine_options);
   CEPR_CHECK(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   CollectSink sink;
-  const Status s =
-      engine.RegisterQuery("q", HotQuery(), HotOptions(mode), &sink);
+  const Status s = engine.RegisterQuery("q", HotQuery(), HotOptions(), &sink);
   CEPR_CHECK(s.ok()) << s.ToString();
-  if (mode.batch_ingest) {
+  if (mode.push_all) {
     const Status push = engine.PushAll(std::vector<Event>(HotStream(n)));
     CEPR_CHECK(push.ok()) << push.ToString();
   } else {
@@ -152,16 +138,16 @@ void CheckIdentical(const std::vector<RankedResult>& expected,
   }
 }
 
-// One-time cross-mode verification on a smaller stream, so a benchmark run
-// can never silently time a configuration that changes the output.
+// One-time verification on a smaller stream against the kNaiveSort ranker,
+// so a benchmark run can never silently time output that is wrong.
 void VerifyModesOnce() {
   static std::once_flag once;
   std::call_once(once, [] {
     constexpr size_t kVerifyEvents = 4000;
-    const auto baseline = RunSerialMode(kLegacy, kVerifyEvents);
+    const auto baseline =
+        RunSerialMode(kPush, kVerifyEvents, RankerPolicy::kNaiveSort);
     CEPR_CHECK(!baseline.empty()) << "verification workload had no results";
-    for (const Mode& mode :
-         {kLegacy, kCow, kCowArena, kFull, kBytecode, kBytecodeBatch}) {
+    for (const Mode& mode : {kPush, kPushAll}) {
       CheckIdentical(baseline, RunSerialMode(mode, kVerifyEvents),
                      std::string("serial ") + mode.label);
       CheckIdentical(baseline, RunShardedMode(mode, kVerifyEvents),
@@ -183,12 +169,12 @@ void BM_HotPath(benchmark::State& state, const Mode& mode) {
     auto engine = StockEngine();
     CollectSink sink;
     const Status s =
-        engine->RegisterQuery("q", HotQuery(), HotOptions(mode), &sink);
+        engine->RegisterQuery("q", HotQuery(), HotOptions(), &sink);
     CEPR_CHECK(s.ok()) << s.ToString();
     state.ResumeTiming();
 
     const uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    if (mode.batch_ingest) {
+    if (mode.push_all) {
       ReplayBatch(engine.get(), events);
     } else {
       Replay(engine.get(), events);
@@ -205,16 +191,8 @@ void BM_HotPath(benchmark::State& state, const Mode& mode) {
       static_cast<double>(matches) / static_cast<double>(state.iterations());
 }
 
-BENCHMARK_CAPTURE(BM_HotPath, legacy_deep_copy, kLegacy)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_HotPath, cow, kCow)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_HotPath, cow_arena, kCowArena)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_HotPath, cow_arena_predcache, kFull)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_HotPath, full_bytecode, kBytecode)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_HotPath, full_bytecode_batch, kBytecodeBatch)
+BENCHMARK_CAPTURE(BM_HotPath, push, kPush)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HotPath, push_all, kPushAll)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -8,9 +8,9 @@
 // (`a.volume = V`). With shared evaluation the engine interns one NFA
 // template for the whole fleet and the predicate index dispatches each
 // event to the handful of queries whose entry predicate can match, so
-// per-event cost stays near-flat as the fleet grows; unshared, every event
-// visits every query. Compare `shared=1` vs `shared=0` rows at equal
-// fleet sizes (docs/BENCHMARKS.md, EXPERIMENTS.md E16).
+// per-event cost stays near-flat as the fleet grows. The unshared rows
+// (every event visits every query) were measured at commit 25ac09d and are
+// kept as history in docs/BENCHMARKS.md and EXPERIMENTS.md (E16).
 
 #include <benchmark/benchmark.h>
 
@@ -82,17 +82,13 @@ std::string FleetQuery(int volume) {
 
 void BM_QueryFleet(benchmark::State& state) {
   const int num_queries = static_cast<int>(state.range(0));
-  const bool shared = state.range(1) != 0;
-  // Unshared 10k-query runs cost events*queries matcher visits; trim the
-  // replay so the slowest cell stays benchmarkable. Throughput counters
-  // normalize by the actual event count.
+  // Trim the 10k-query replay so the slowest cell stays benchmarkable.
+  // Throughput counters normalize by the actual event count.
   const size_t events_n = num_queries >= 10000 ? 5000 : kEvents;
   const auto& events = StockStream(events_n, 0.01);
   for (auto _ : state) {
     state.PauseTiming();  // fleet registration (compile) is setup, not ingest
-    EngineOptions options;
-    options.shared_eval = shared;
-    auto engine = std::make_unique<Engine>(options);
+    auto engine = std::make_unique<Engine>();
     Status s = engine->RegisterSchema(StockGenerator::MakeSchema());
     CEPR_CHECK(s.ok()) << s.ToString();
     std::vector<std::unique_ptr<NullSink>> sinks;
@@ -114,8 +110,11 @@ void BM_QueryFleet(benchmark::State& state) {
 }
 
 BENCHMARK(BM_QueryFleet)
-    ->ArgsProduct({{10, 100, 1000, 10000}, {0, 1}})
-    ->ArgNames({"queries", "shared"})
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->ArgName("queries")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -16,8 +16,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,9 +33,37 @@ namespace {
 
 constexpr size_t kEvents = 100000;
 
-// Files live in /tmp; each run overwrites its own.
-const char kWalPath[] = "/tmp/cepr_bench_recovery.wal";
-const char kSnapPath[] = "/tmp/cepr_bench_recovery.ckpt";
+// The journal and snapshot live in a directory private to this process
+// ($TMPDIR or /tmp, named after the pid), so concurrent runs never share
+// files; it is removed at exit.
+class BenchDir {
+ public:
+  BenchDir() {
+    const char* tmp = std::getenv("TMPDIR");
+    path_ = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+            "/cepr_bench_recovery_" + std::to_string(::getpid());
+    std::error_code ec;
+    std::filesystem::create_directories(path_, ec);
+    wal_ = path_ + "/bench.wal";
+    snap_ = path_ + "/bench.ckpt";
+  }
+  ~BenchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  BenchDir(const BenchDir&) = delete;
+  BenchDir& operator=(const BenchDir&) = delete;
+  const char* wal() const { return wal_.c_str(); }
+  const char* snap() const { return snap_.c_str(); }
+
+ private:
+  std::string path_, wal_, snap_;
+};
+
+const BenchDir& Dir() {
+  static const BenchDir dir;
+  return dir;
+}
 
 std::unique_ptr<Engine> FreshEngine(CollectSink* sink) {
   auto engine = StockEngine();
@@ -48,11 +81,11 @@ void BM_DurabilityIngest(benchmark::State& state) {
 
   DurabilityStats stats;
   for (auto _ : state) {
-    std::remove(kWalPath);
+    std::remove(Dir().wal());
     CollectSink sink;
     auto engine = FreshEngine(&sink);
     if (mode >= 1) {
-      const Status s = engine->OpenWal(kWalPath);
+      const Status s = engine->OpenWal(Dir().wal());
       CEPR_CHECK(s.ok()) << s.ToString();
     }
     size_t since_ckpt = 0;
@@ -61,7 +94,7 @@ void BM_DurabilityIngest(benchmark::State& state) {
       CEPR_CHECK(s.ok()) << s.ToString();
       if (mode == 2 && ++since_ckpt >= interval) {
         since_ckpt = 0;
-        const Status c = engine->Checkpoint(kSnapPath);
+        const Status c = engine->Checkpoint(Dir().snap());
         CEPR_CHECK(c.ok()) << c.ToString();
       }
     }
@@ -88,7 +121,7 @@ void BM_CheckpointWrite(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    const Status s = engine->Checkpoint(kSnapPath);
+    const Status s = engine->Checkpoint(Dir().snap());
     CEPR_CHECK(s.ok()) << s.ToString();
   }
   state.counters["snap_bytes"] =
@@ -105,18 +138,18 @@ void BM_Restore(benchmark::State& state) {
 
   // Build the durable state once: WAL from the start, snapshot at the cut,
   // then `tail` more journaled events.
-  std::remove(kWalPath);
-  std::remove(kSnapPath);
+  std::remove(Dir().wal());
+  std::remove(Dir().snap());
   {
     CollectSink sink;
     auto engine = FreshEngine(&sink);
-    Status s = engine->OpenWal(kWalPath);
+    Status s = engine->OpenWal(Dir().wal());
     CEPR_CHECK(s.ok()) << s.ToString();
     for (size_t i = 0; i < cut; ++i) {
       s = engine->Push(Event(events[i]));
       CEPR_CHECK(s.ok()) << s.ToString();
     }
-    const Status c = engine->Checkpoint(kSnapPath);
+    const Status c = engine->Checkpoint(Dir().snap());
     CEPR_CHECK(c.ok()) << c.ToString();
     for (size_t i = cut; i < cut + tail; ++i) {
       s = engine->Push(Event(events[i]));
@@ -130,7 +163,7 @@ void BM_Restore(benchmark::State& state) {
     CollectSink sink;
     Engine engine;
     const Status s = engine.Restore(
-        kSnapPath, kWalPath, [&sink](const std::string&) { return &sink; });
+        Dir().snap(), Dir().wal(), [&sink](const std::string&) { return &sink; });
     CEPR_CHECK(s.ok()) << s.ToString();
     stats = engine.Snapshot().durability;
   }

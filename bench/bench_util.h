@@ -120,7 +120,7 @@ inline void Replay(Engine* engine, const std::vector<Event>& events) {
 }
 
 /// Replay through PushAll: same-stream runs flow through the batched
-/// columnar ingest path (EngineOptions::batch_ingest) instead of per-event
+/// columnar ingest path (PredicateIndex::ProbeBatch) instead of per-event
 /// Push.
 inline void ReplayBatch(Engine* engine, const std::vector<Event>& events) {
   const Status s = engine->PushAll(std::vector<Event>(events));

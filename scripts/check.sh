@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: plain build + full test suite, then a ThreadSanitizer build
+# Tier-1 gate: plain build + full test suite (three randomized parallel
+# passes, so tests that share files or ports fail here), then a
+# ThreadSanitizer build
 # running the concurrency-sensitive suites (SPSC ring, sharded engine, and
 # the live-metrics race test), then an AddressSanitizer build running the
 # memory-churn-heavy suites (robustness fuzz, overload shedding, fault
@@ -38,18 +40,27 @@ if [[ $run_plain -eq 1 ]]; then
   echo "== plain build + full suite =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$(nproc)"
-  ctest --test-dir build --output-on-failure -j "$(nproc)"
+  # Every gtest case runs as its own process; running them eight wide in a
+  # random order three times over catches cases that collide on shared
+  # paths instead of passing by luck of scheduling.
+  ctest --test-dir build --output-on-failure -j 8 --repeat until-fail:3 \
+    --schedule-random
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
   echo "== TSan build + concurrency suites =="
   cmake -B build-tsan -S . -DCEPR_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target common_test integration_test
+  cmake --build build-tsan -j "$(nproc)" --target common_test integration_test \
+    runtime_test engine_test
   ./build-tsan/tests/common_test --gtest_filter='SpscQueue*:ErrnoString*'
   # The sharded recovery tests exercise the quiesce barrier (Checkpoint
   # cuts while worker threads drain) — one shard count keeps the stage fast.
+  # The golden-fixture and fleet equivalence gates drive 1/2/4-shard
+  # engines end to end.
   ./build-tsan/tests/integration_test \
-    --gtest_filter='Sharded*:ShardedMetricsRaceTest.*:ShardCounts/ShardedFault*:CowEquivalenceTest.HotPathCountersMatchSerialTotals:CowEquivalenceTest.SharedMatchDagMatchesPerRunPath:Disorder*:ShardCounts/Disorder*:Engines/RecoveryTest.*/sharded2'
+    --gtest_filter='Sharded*:ShardedMetricsRaceTest.*:ShardCounts/ShardedFault*:CowEquivalenceTest.*:MultiQueryEquivalenceTest.*:Disorder*:ShardCounts/Disorder*:Engines/RecoveryTest.*/sharded2'
+  ./build-tsan/tests/runtime_test --gtest_filter='EngineTest.*'
+  ./build-tsan/tests/engine_test --gtest_filter='RunTest.*:RunPoolTest.*'
   # The network server is accept thread + session threads + checkpoint
   # timer all sharing one engine lock; the kill/restart and robustness
   # suites drive every cross-thread edge (subscribe/detach, timer cuts,
@@ -62,36 +73,41 @@ if [[ $run_asan -eq 1 ]]; then
   echo "== ASan build + robustness suites =="
   cmake -B build-asan -S . -DCEPR_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug >/dev/null
   cmake --build build-asan -j "$(nproc)" --target integration_test runtime_test \
-    engine_test rank_test net_test
+    engine_test rank_test net_test lang_test
   # ServerRobustnessTest feeds the wire decoder torn frames and garbage —
   # attacker-controlled lengths and truncated bodies are ASan's home turf;
   # net_test fuzzes the framing layer directly over socketpairs.
   ./build-asan/tests/integration_test \
-    --gtest_filter='Robustness*:Overload*:FaultInjection*:ShardedFault*:ShardCounts/ShardedFault*:CowEquivalence*:Disorder*:ShardCounts/Disorder*:*Recovery*:ServerTest.*:ServerRobustnessTest.*'
+    --gtest_filter='Robustness*:Overload*:FaultInjection*:ShardedFault*:ShardCounts/ShardedFault*:CowEquivalence*:MultiQueryEquivalenceTest.*:Disorder*:ShardCounts/Disorder*:*Recovery*:ServerTest.*:ServerRobustnessTest.*'
   ./build-asan/tests/net_test
   ./build-asan/tests/runtime_test \
-    --gtest_filter='Csv*:ReorderBuffer*:Idempotence*:Snapshot*:TornFileFuzz*'
+    --gtest_filter='Csv*:ReorderBuffer*:Idempotence*:Snapshot*:TornFileFuzz*:EngineTest.*'
   # The shared match DAG is manually refcounted arena memory — exactly what
   # ASan exists to audit; the enumerator suite drives its free/reuse cycle.
-  ./build-asan/tests/engine_test --gtest_filter='MatchDag*'
+  # The run pool and binding arena recycle memory the same way.
+  ./build-asan/tests/engine_test --gtest_filter='MatchDag*:RunTest.*:RunPoolTest.*:BindingListTest.*'
   ./build-asan/tests/rank_test --gtest_filter='Enumerator*'
+  # Hostile query text: the parser's nesting bound must refuse 100k-deep
+  # expressions before any recursion runs out of stack.
+  ./build-asan/tests/lang_test --gtest_filter='ParserTest.*'
 fi
 
 if [[ $run_ubsan -eq 1 ]]; then
   echo "== UBSan build + arithmetic suites =="
   cmake -B build-ubsan -S . -DCEPR_SANITIZE=undefined -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-ubsan -j "$(nproc)" --target expr_test rank_test integration_test runtime_test
+  cmake --build build-ubsan -j "$(nproc)" --target expr_test rank_test integration_test \
+    runtime_test engine_test lang_test
   ./build-ubsan/tests/expr_test
   ./build-ubsan/tests/rank_test
-  # SkipTillAnyForkHeavyWithShedding is ~15x the cost of the other five
-  # combined under UBSan (fork-heavy matching, not arithmetic) and the plain
-  # and ASan stages already run it; keep the UBSan stage focused.
+  ./build-ubsan/tests/engine_test --gtest_filter='RunTest.*:RunPoolTest.*'
+  # The parser's nesting bound refuses 100k-deep expressions.
+  ./build-ubsan/tests/lang_test --gtest_filter='ParserTest.*'
   ./build-ubsan/tests/integration_test \
-    --gtest_filter='CowEquivalenceTest.*:*Recovery*:-CowEquivalenceTest.SkipTillAnyForkHeavyWithShedding'
+    --gtest_filter='CowEquivalenceTest.*:MultiQueryEquivalenceTest.*:*Recovery*'
   # Torn-file fuzzing decodes attacker-controlled lengths/offsets — exactly
   # where unchecked size arithmetic would be UB.
   ./build-ubsan/tests/runtime_test \
-    --gtest_filter='Idempotence*:Snapshot*:TornFileFuzz*'
+    --gtest_filter='Idempotence*:Snapshot*:TornFileFuzz*:EngineTest.*'
 fi
 
 echo "check.sh: all stages passed"

@@ -191,8 +191,7 @@ Matcher::Matcher(CompiledQueryPtr plan, const MatcherOptions& options,
       memory_(memory),
       pred_cache_(static_cast<size_t>(plan_->pattern.num_event_preds), -1) {
   if (memory_ == nullptr) {
-    owned_memory_ = std::make_unique<RunMemory>(
-        plan_.get(), options_.cow_bindings, options_.use_arena);
+    owned_memory_ = std::make_unique<RunMemory>(plan_.get());
     memory_ = owned_memory_.get();
   }
 }
@@ -212,25 +211,24 @@ bool Matcher::TypeMatches(const std::string& tag, const Event& event) const {
   return tag.empty() || EqualsIgnoreCase(tag, event.type_tag());
 }
 
-bool Matcher::EvalPred(const Run& run, const Expr& pred,
-                       const BytecodeProgram* prog, int cache_id, int var_index,
-                       const Event& event) const {
-  const bool use_vm = prog != nullptr && options_.bytecode_eval;
-  if (cache_id < 0 || !options_.predicate_cache) {
-    // Correlated conjunct (or cache disabled): evaluate against the run,
-    // which answers `var_index` with the installed candidate.
-    auto r = use_vm ? VmEvaluatePredicate(*prog, run, &vm_)
-                    : EvaluatePredicate(pred, run);
-    return r.ok() && r.value();
-  }
+bool Matcher::EvalPred(const Run& run, const BytecodeProgram& prog,
+                       int cache_id, int var_index, const Event& event) const {
+  if (cache_id >= 0) return EventOnlyVerdict(prog, cache_id, var_index, event);
+  // Correlated conjunct: evaluate against the run, which answers
+  // `var_index` with the installed candidate.
+  auto r = VmEvaluatePredicate(prog, run, &vm_);
+  return r.ok() && r.value();
+}
+
+bool Matcher::EventOnlyVerdict(const BytecodeProgram& prog, int cache_id,
+                               int var_index, const Event& event) const {
   int8_t& slot = pred_cache_[static_cast<size_t>(cache_id)];
   if (slot < 0) {
     // First consult this event: compute once under an EventOnlyContext —
     // provably the same verdict a run evaluation would produce (the
     // conjunct references nothing but the candidate event).
     EventOnlyContext ctx(var_index, &event);
-    auto r = use_vm ? VmEvaluatePredicate(*prog, ctx, &vm_)
-                    : EvaluatePredicate(pred, ctx);
+    auto r = VmEvaluatePredicate(prog, ctx, &vm_);
     slot = (r.ok() && r.value()) ? 1 : 0;
     stats_->predcache_misses.Increment();
   } else {
@@ -246,8 +244,8 @@ bool Matcher::PassesBegin(Run* run, int comp_index, const Event& event) const {
   run->SetCandidate(comp.var_index, &event);
   bool ok = true;
   for (size_t i = 0; i < comp.begin_preds.size(); ++i) {
-    if (!EvalPred(*run, *comp.begin_preds[i], comp.begin_pred_progs[i].get(),
-                  comp.begin_pred_cache_ids[i], comp.var_index, event)) {
+    if (!EvalPred(*run, *comp.begin_pred_progs[i], comp.begin_pred_cache_ids[i],
+                  comp.var_index, event)) {
       ok = false;
       break;
     }
@@ -265,8 +263,8 @@ bool Matcher::PassesIter(Run* run, int comp_index, const Event& event) const {
   for (size_t i = 0; i < comp.iter_preds.size(); ++i) {
     // Conjuncts referencing v[i-1] are vacuous for the first iteration.
     if (first_iteration && comp.iter_pred_uses_prev[i]) continue;
-    if (!EvalPred(*run, *comp.iter_preds[i], comp.iter_pred_progs[i].get(),
-                  comp.iter_pred_cache_ids[i], comp.var_index, event)) {
+    if (!EvalPred(*run, *comp.iter_pred_progs[i], comp.iter_pred_cache_ids[i],
+                  comp.var_index, event)) {
       ok = false;
       break;
     }
@@ -281,11 +279,8 @@ bool Matcher::PassesExit(Run* run, int comp_index) const {
   if (comp.is_kleene && run->KleeneCount(comp.var_index) < comp.min_iters) {
     return false;
   }
-  for (size_t i = 0; i < comp.exit_preds.size(); ++i) {
-    const BytecodeProgram* prog = comp.exit_pred_progs[i].get();
-    auto r = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluatePredicate(*prog, *run, &vm_)
-                 : EvaluatePredicate(*comp.exit_preds[i], *run);
+  for (const BytecodeProgramPtr& prog : comp.exit_pred_progs) {
+    auto r = VmEvaluatePredicate(*prog, *run, &vm_);
     if (!r.ok() || !r.value()) return false;
   }
   return true;
@@ -327,16 +322,6 @@ bool Matcher::CanExtend(Run* run, const Event& event) const {
   return PassesIter(run, open, event);
 }
 
-bool Matcher::Expired(const Run& run, const Event& event) const {
-  if (plan_->within_micros > 0 &&
-      event.timestamp() - run.first_ts() > plan_->within_micros) {
-    return true;
-  }
-  return plan_->within_events > 0 &&
-         event.sequence() - run.first_sequence() >
-             static_cast<uint64_t>(plan_->within_events);
-}
-
 bool Matcher::NegationKills(Run* run, const Event& event) const {
   const int next = run->next_component();
   if (next <= 0 || next >= static_cast<int>(plan_->pattern.components.size())) {
@@ -350,8 +335,8 @@ bool Matcher::NegationKills(Run* run, const Event& event) const {
   run->SetCandidate(neg.var_index, &event);
   bool kills = true;
   for (size_t i = 0; i < neg.preds.size(); ++i) {
-    if (!EvalPred(*run, *neg.preds[i], neg.pred_progs[i].get(),
-                  neg.pred_cache_ids[i], neg.var_index, event)) {
+    if (!EvalPred(*run, *neg.pred_progs[i], neg.pred_cache_ids[i],
+                  neg.var_index, event)) {
       kills = false;
       break;
     }
@@ -374,21 +359,14 @@ bool Matcher::MaybeEmit(Run* run, std::vector<Match>* out) {
   // may cross threads / outlive the matcher's arena.
   m.bindings = run->MaterializeBindings();
 
-  m.row.reserve(plan_->analyzed.ast.select.size());
-  for (size_t i = 0; i < plan_->analyzed.ast.select.size(); ++i) {
-    const BytecodeProgram* prog = plan_->select_progs[i].get();
-    auto v = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluate(*prog, *run, &vm_)
-                 : Evaluate(*plan_->analyzed.ast.select[i].expr, *run);
+  m.row.reserve(plan_->select_progs.size());
+  for (const BytecodeProgramPtr& prog : plan_->select_progs) {
+    auto v = VmEvaluate(*prog, *run, &vm_);
     m.row.push_back(v.ok() ? std::move(v).value() : Value::Null());
   }
-  if (plan_->score == nullptr) {
-    m.score = 0.0;
-  } else if (plan_->score_prog != nullptr && options_.bytecode_eval) {
-    m.score = VmEvaluateScore(*plan_->score_prog, *run, &vm_);
-  } else {
-    m.score = EvaluateScore(*plan_->score, *run);
-  }
+  m.score = plan_->score_prog != nullptr
+                ? VmEvaluateScore(*plan_->score_prog, *run, &vm_)
+                : 0.0;
 
   stats_->matches.Increment();
   out->push_back(std::move(m));
@@ -417,26 +395,10 @@ bool Matcher::GroupEventPasses(const Event& event) const {
     // Every iteration conjunct is event-only under DAG eligibility, so an
     // EventOnlyContext evaluation is provably the verdict any run would
     // produce; share it through the per-event cache like EvalPred does.
-    const int cache_id = comp.iter_pred_cache_ids[i];
-    int8_t* slot = options_.predicate_cache
-                       ? &pred_cache_[static_cast<size_t>(cache_id)]
-                       : nullptr;
-    if (slot != nullptr && *slot >= 0) {
-      stats_->predcache_hits.Increment();
-      if (*slot == 0) return false;
-      continue;
+    if (!EventOnlyVerdict(*comp.iter_pred_progs[i], comp.iter_pred_cache_ids[i],
+                          comp.var_index, event)) {
+      return false;
     }
-    const BytecodeProgram* prog = comp.iter_pred_progs[i].get();
-    EventOnlyContext ctx(comp.var_index, &event);
-    auto r = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluatePredicate(*prog, ctx, &vm_)
-                 : EvaluatePredicate(*comp.iter_preds[i], ctx);
-    const bool pass = r.ok() && r.value();
-    if (slot != nullptr) {
-      *slot = pass ? 1 : 0;
-      stats_->predcache_misses.Increment();
-    }
-    if (!pass) return false;
   }
   return true;
 }
@@ -562,12 +524,7 @@ Matcher::RunFate Matcher::ProcessRun(Run* run, const EventPtr& event,
                                      std::vector<Match>* out,
                                      std::vector<RunHandle>* forks,
                                      std::vector<LazyMatchSet>* lazy_out) {
-  // 1. WITHIN expiry: this and all later events are out of the run's span.
-  if (Expired(*run, *event)) {
-    stats_->runs_expired.Increment();
-    return RunFate::kRemove;
-  }
-
+  // WITHIN expiry already happened in ColumnarExpire.
   std::vector<int>& begin_options = scratch_options_;
   BeginOptions(run, *event, &begin_options);
 
@@ -833,11 +790,9 @@ Status Matcher::OnEvent(const EventPtr& event, std::vector<Match>* out,
   }
 
   // Forget the previous event's cached event-only verdicts.
-  if (options_.predicate_cache && !pred_cache_.empty()) {
-    std::fill(pred_cache_.begin(), pred_cache_.end(), int8_t{-1});
-  }
+  std::fill(pred_cache_.begin(), pred_cache_.end(), int8_t{-1});
 
-  if (options_.columnar_expiry) ColumnarExpire(*event);
+  ColumnarExpire(*event);
   // Step existing groups before the run loop: groups created during this
   // event (run intercepts / fresh anchors) incorporate it at creation and
   // must not be stepped again.

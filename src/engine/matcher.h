@@ -136,37 +136,16 @@ struct MatcherOptions {
   /// null, must outlive the matcher.
   const FaultInjector* fault_injector = nullptr;
 
-  // -- Hot-path ablation switches (E14). Defaults are the fast path; each
-  //    may be disabled independently to isolate its contribution. All four
-  //    combinations are observationally identical (same matches, scores,
-  //    tie-broken order) — enforced by CowEquivalence tests. --------------
-  /// Copy-on-write persistent bindings: forking shares the parent's chains
-  /// (O(components)). false = legacy node-by-node deep copy (O(events)).
-  bool cow_bindings = true;
-  /// Pool Run objects and binding nodes in per-query freelists; false =
-  /// plain new/delete per object.
-  bool use_arena = true;
-  /// Evaluate event-only predicates once per event and share the verdict
-  /// across the partition's runs; false = re-evaluate per run.
-  bool predicate_cache = true;
-  /// Execute predicates / SELECT items / scores through the flat bytecode
-  /// VM (expr/vm.h) instead of the recursive AST walk; false = legacy AST
-  /// evaluation. Bit-identical output either way (the VM mirrors the AST
-  /// evaluator's semantics exactly; enforced by BytecodeEquivalence tests).
-  bool bytecode_eval = true;
   /// Represent the trailing-Kleene fan-out of eligible SKIP_TILL_ANY_MATCH
   /// patterns (see MatchDagEligible) as a shared partial-match DAG with
   /// lazy rank-ordered enumeration at window close, instead of one forked
   /// run per suffix subset: per-event work drops from O(live runs) to
-  /// O(groups) and state stays linear in window size. false = the PR4
-  /// per-run COW path. Ranked output is identical either way (enforced by
-  /// CowEquivalence dag rows).
+  /// O(groups) and state stays linear in window size. false = the per-run
+  /// path, which E19 measures faster on trivial fan-out. Ranked output is
+  /// identical either way (enforced by the CowEquivalence dag rows). The
+  /// query runtime also clears it for ranking policies the lazy path
+  /// cannot serve (GateDagMode in runtime/query.cc).
   bool shared_match_dag = true;
-  /// Expire runs with a dense column scan (EventBatch-style SoA view over
-  /// first-timestamp / first-sequence columns maintained beside the run
-  /// set) instead of dereferencing each Run in the per-run loop; false =
-  /// the legacy per-run check. Observationally identical.
-  bool columnar_expiry = true;
 };
 
 /// Overlays engine-wide overload/fault options onto a query's own
@@ -182,7 +161,8 @@ MatcherOptions MergeEngineCaps(MatcherOptions base, size_t max_runs_per_partitio
 /// maintaining the active-run set and emitting Match objects.
 ///
 /// Per-event semantics (documented order of attempted actions per run):
-///  1. expire the run if the event pushes past the WITHIN span;
+///  1. expire the run if the event pushes past the WITHIN span (one column
+///     scan over all runs before the per-run loop);
 ///  2. BEGIN the next component (requires the open Kleene component's exit
 ///     predicates, the type tag, and the begin predicates to pass);
 ///  3. otherwise the negation watcher may KILL the run;
@@ -199,7 +179,7 @@ class Matcher {
   /// is enforced against; the matcher keeps it in sync with its run set.
   /// `memory` (nullable) is the shared run arena/pool of the query scope
   /// (PartitionedMatcher owns one for all its partitions); when null the
-  /// matcher owns a private one.
+  /// matcher owns a private one (without a DAG store).
   Matcher(CompiledQueryPtr plan, const MatcherOptions& options,
           const RunPruner* pruner, AtomicMatcherStats* stats,
           uint64_t* next_match_id, size_t* live_runs = nullptr,
@@ -280,25 +260,27 @@ class Matcher {
                   std::vector<LazyMatchSet>* lazy_out);
   void ReleaseGroups();
 
-  /// Columnar run expiry (options_.columnar_expiry): scans the dense
-  /// first-timestamp / first-sequence columns kept parallel to runs_ and
-  /// compacts expired runs away before the per-run loop.
+  /// WITHIN expiry: scans the dense first-timestamp / first-sequence
+  /// columns kept parallel to runs_ and compacts expired runs away before
+  /// the per-run loop, so every run that loop visits is still in span.
   void ColumnarExpire(const Event& event);
 
   /// Acquires a pooled run and copies `src`'s state into it (counted).
   RunHandle CloneRun(const Run& src, uint64_t new_id);
 
   bool TypeMatches(const std::string& tag, const Event& event) const;
-  /// Evaluates one edge-predicate conjunct for `run` with `event` as the
-  /// candidate for `var_index`. Event-only conjuncts (cache_id >= 0) are
-  /// answered from the per-event cache when the predicate cache is on —
+  /// Evaluates one edge-predicate conjunct (its compiled bytecode `prog`)
+  /// for `run` with `event` as the candidate for `var_index`. Event-only
+  /// conjuncts (cache_id >= 0) are answered from the per-event cache —
   /// evaluated at most once per event under an EventOnlyContext and shared
-  /// across every run of the partition; correlated conjuncts (and all
-  /// conjuncts with the cache disabled) evaluate against the run.
-  /// `prog` is the conjunct's compiled bytecode (nullptr = AST fallback),
-  /// used when options_.bytecode_eval is on.
-  bool EvalPred(const Run& run, const Expr& pred, const BytecodeProgram* prog,
-                int cache_id, int var_index, const Event& event) const;
+  /// across every run of the partition; correlated conjuncts evaluate
+  /// against the run.
+  bool EvalPred(const Run& run, const BytecodeProgram& prog, int cache_id,
+                int var_index, const Event& event) const;
+  /// The cached verdict of event-only conjunct `cache_id` for `event`
+  /// (computed on first use per event under an EventOnlyContext).
+  bool EventOnlyVerdict(const BytecodeProgram& prog, int cache_id,
+                        int var_index, const Event& event) const;
   bool PassesBegin(Run* run, int comp_index, const Event& event) const;
   bool PassesIter(Run* run, int comp_index, const Event& event) const;
   /// Exit predicates + the minimum-iteration bound of component
@@ -311,8 +293,6 @@ class Matcher {
   void BeginOptions(Run* run, const Event& event, std::vector<int>* out) const;
   bool CanExtend(Run* run, const Event& event) const;
   bool NegationKills(Run* run, const Event& event) const;
-  /// WITHIN expiry (time- or count-based span exceeded by this event).
-  bool Expired(const Run& run, const Event& event) const;
 
   /// Emits a match from a run whose pattern is complete; returns true if
   /// emitted (trailing-Kleene exit predicates may block it).

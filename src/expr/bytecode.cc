@@ -281,17 +281,17 @@ Result<BytecodeProgram> CompileToBytecode(const Expr& expr) {
   BytecodeProgram prog;
   Compiler compiler(&prog);
   if (!compiler.Compile(expr, 0)) {
-    return Status::Internal("expression does not fit the bytecode register file: " +
-                            expr.ToString());
+    return Status::InvalidArgument(
+        "expression needs more than " + std::to_string(kMaxReg + 1) +
+        " VM registers (nested too deeply): " + expr.ToString());
   }
   compiler.Finish();
   return prog;
 }
 
-BytecodeProgramPtr CompileToBytecodeShared(const Expr& expr) {
-  auto prog = CompileToBytecode(expr);
-  if (!prog.ok()) return nullptr;
-  return std::make_shared<const BytecodeProgram>(std::move(prog).value());
+Result<BytecodeProgramPtr> CompileToBytecodeShared(const Expr& expr) {
+  CEPR_ASSIGN_OR_RETURN(BytecodeProgram prog, CompileToBytecode(expr));
+  return std::make_shared<const BytecodeProgram>(std::move(prog));
 }
 
 }  // namespace cepr

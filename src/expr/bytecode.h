@@ -26,8 +26,9 @@ namespace cepr {
 /// Register model: tree-shaped evaluation with a stack discipline — an
 /// expression's result lands in register `dst`, its children evaluate into
 /// `dst`, `dst+1`, ... so the register file is only as deep as the tree.
-/// Trees deeper than 255 registers do not compile (CompileToBytecode returns
-/// an error) and callers fall back to the AST evaluator.
+/// Trees needing more than 256 registers do not compile (CompileToBytecode
+/// returns InvalidArgument), and the query compiler refuses such queries:
+/// the VM is total over every plan that compiles.
 enum class OpCode : uint8_t {
   // Loads.
   kLoadConst,  // dst = constants[imm]
@@ -112,13 +113,12 @@ struct BytecodeProgram {
 using BytecodeProgramPtr = std::shared_ptr<const BytecodeProgram>;
 
 /// Compiles a resolved, type-checked expression tree to bytecode. Fails
-/// (Status::Internal) only for trees too deep for the 8-bit register file;
-/// callers keep the AST path as fallback.
+/// (InvalidArgument, naming the expression) only for trees too deep for the
+/// 8-bit register operands.
 Result<BytecodeProgram> CompileToBytecode(const Expr& expr);
 
-/// Convenience wrapper: compile to a shared immutable program, or nullptr if
-/// the tree does not compile (callers then use the AST evaluator).
-BytecodeProgramPtr CompileToBytecodeShared(const Expr& expr);
+/// Convenience wrapper: compile to a shared immutable program.
+Result<BytecodeProgramPtr> CompileToBytecodeShared(const Expr& expr);
 
 }  // namespace cepr
 

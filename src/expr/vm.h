@@ -40,9 +40,9 @@ class VmState {
 /// Bytecode twins of Evaluate / EvaluatePredicate / EvaluateScore (see
 /// expr/eval.h for the semantics). Guaranteed bit-identical to the AST
 /// evaluator — same values, same NULL propagation, same overflow-to-NULL
-/// arithmetic, and error statuses in exactly the same situations — which is
-/// what lets the `bytecode_eval` ablation knob flip freely without changing
-/// any ranked output.
+/// arithmetic, and error statuses in exactly the same situations. The VM is
+/// the runtime's only evaluator; the tree walker stays for constant folding,
+/// bound derivation and as the differential-test oracle.
 Result<Value> VmEvaluate(const BytecodeProgram& prog, const EvalContext& ctx,
                          VmState* state);
 Result<bool> VmEvaluatePredicate(const BytecodeProgram& prog,

@@ -13,7 +13,7 @@
 namespace cepr {
 namespace net {
 
-/// CEPR wire protocol, version 1. Every message travels in one frame using
+/// CEPR wire protocol, version 2. Every message travels in one frame using
 /// the WAL's framing convention (runtime/wal.*), all little-endian:
 ///
 ///   [u32 payload_len][u32 crc32(payload)][payload]
@@ -24,7 +24,10 @@ namespace net {
 /// stream is unframeable and the session closes, while a *body*-level
 /// violation (unknown type, malformed fields) is answered with an error
 /// reply on an intact session.
-inline constexpr uint32_t kProtocolVersion = 1;
+///
+/// Version 2 dropped the four hot-path ablation bools from the kDeploy
+/// QueryOptions block; a version-1 kHello is answered with an in-band error.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Frames larger than this are garbage (a bit-flipped length field), not
 /// messages; same bound as the WAL scanner.
@@ -46,7 +49,7 @@ enum class MsgType : uint8_t {
   kEvent = 3,
   /// [u32 binding][u32 n][n * event body] — batched ingest (PushAll).
   kEventBatch = 4,
-  /// [str name][str query_text][QueryOptionsV1 block] — hot deploy through
+  /// [str name][str query_text][QueryOptions block] — hot deploy through
   /// the template registry, no drain. The deploying session is subscribed
   /// to the query's ranked results.
   kDeploy = 5,

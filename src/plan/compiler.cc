@@ -310,39 +310,41 @@ Result<CompiledQueryPtr> Compile(AnalyzedQuery analyzed) {
   cq->score = cq->analyzed.ast.rank_by.get();
 
   // -- Bytecode compilation ----------------------------------------------------
-  // Every predicate / select / score tree gets a flat program for the VM hot
-  // path (expr/vm.h). Must run after aggregate-slot assignment: programs
-  // bake in agg_slot indices. A nullptr program (tree too deep for the
-  // register file) falls back to the AST evaluator at that site.
+  // Every predicate / select / score tree gets a flat program; the runtime
+  // evaluates nothing else (expr/vm.h). Must run after aggregate-slot
+  // assignment: programs bake in agg_slot indices. A tree too deep for the
+  // register file refuses the whole query.
   int num_progs = 0;
-  const auto compile_group = [&num_progs](const std::vector<ExprPtr>& preds,
-                                          std::vector<BytecodeProgramPtr>* progs) {
-    progs->clear();
-    progs->reserve(preds.size());
-    for (const ExprPtr& p : preds) {
-      BytecodeProgramPtr prog = CompileToBytecodeShared(*p);
-      if (prog != nullptr) ++num_progs;
-      progs->push_back(std::move(prog));
+  const auto compile = [&num_progs](const Expr& e,
+                                    BytecodeProgramPtr* out) -> Status {
+    CEPR_ASSIGN_OR_RETURN(*out, CompileToBytecodeShared(e));
+    ++num_progs;
+    return Status::OK();
+  };
+  const auto compile_group = [&compile](const std::vector<ExprPtr>& preds,
+                                        std::vector<BytecodeProgramPtr>* progs) {
+    progs->assign(preds.size(), nullptr);
+    for (size_t i = 0; i < preds.size(); ++i) {
+      CEPR_RETURN_IF_ERROR(compile(*preds[i], &(*progs)[i]));
     }
+    return Status::OK();
   };
   for (CompiledComponent& comp : cq->pattern.components) {
-    compile_group(comp.begin_preds, &comp.begin_pred_progs);
-    compile_group(comp.iter_preds, &comp.iter_pred_progs);
-    compile_group(comp.exit_preds, &comp.exit_pred_progs);
+    CEPR_RETURN_IF_ERROR(compile_group(comp.begin_preds, &comp.begin_pred_progs));
+    CEPR_RETURN_IF_ERROR(compile_group(comp.iter_preds, &comp.iter_pred_progs));
+    CEPR_RETURN_IF_ERROR(compile_group(comp.exit_preds, &comp.exit_pred_progs));
     if (comp.negation_before.has_value()) {
-      compile_group(comp.negation_before->preds,
-                    &comp.negation_before->pred_progs);
+      CEPR_RETURN_IF_ERROR(compile_group(comp.negation_before->preds,
+                                         &comp.negation_before->pred_progs));
     }
   }
-  cq->select_progs.reserve(cq->analyzed.ast.select.size());
-  for (const SelectItemAst& item : cq->analyzed.ast.select) {
-    BytecodeProgramPtr prog = CompileToBytecodeShared(*item.expr);
-    if (prog != nullptr) ++num_progs;
-    cq->select_progs.push_back(std::move(prog));
+  cq->select_progs.assign(cq->analyzed.ast.select.size(), nullptr);
+  for (size_t i = 0; i < cq->select_progs.size(); ++i) {
+    CEPR_RETURN_IF_ERROR(
+        compile(*cq->analyzed.ast.select[i].expr, &cq->select_progs[i]));
   }
   if (cq->score != nullptr) {
-    cq->score_prog = CompileToBytecodeShared(*cq->score);
-    if (cq->score_prog != nullptr) ++num_progs;
+    CEPR_RETURN_IF_ERROR(compile(*cq->score, &cq->score_prog));
   }
   cq->num_bytecode_programs = num_progs;
 

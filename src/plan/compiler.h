@@ -45,9 +45,9 @@ struct CompiledQuery {
   std::vector<Value> template_params;
 
   /// Compiled bytecode for SELECT items (parallel to analyzed.ast.select)
-  /// and the RANK BY score, used by the matcher when bytecode_eval is on;
-  /// nullptr entries fall back to the AST evaluator. Predicate programs
-  /// live on the pattern's components (see plan/pattern.h).
+  /// and the RANK BY score (nullptr iff there is no score); the runtime
+  /// evaluates only these. Predicate programs live on the pattern's
+  /// components (see plan/pattern.h).
   std::vector<BytecodeProgramPtr> select_progs;
   BytecodeProgramPtr score_prog;
   /// Total programs compiled for this query (predicates + selects + score);
@@ -83,7 +83,9 @@ using CompiledQueryPtr = std::shared_ptr<const CompiledQuery>;
 /// Rejects conjuncts that reference a current-iteration (v[i]) of a Kleene
 /// variable that is not the conjunct's latest reference, and negation
 /// conjuncts that reference more than one negated variable or variables
-/// bound after the negation point.
+/// bound after the negation point. Fails with InvalidArgument, naming the
+/// expression, when a predicate, SELECT item or score needs more VM
+/// registers than the bytecode can address.
 Result<CompiledQueryPtr> Compile(AnalyzedQuery analyzed);
 
 /// Convenience: parse + analyze + compile in one step.

@@ -8,6 +8,7 @@
 
 #include "expr/eval.h"
 #include "expr/interval.h"
+#include "expr/vm.h"
 
 namespace cepr {
 
@@ -225,6 +226,7 @@ void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
   const std::vector<AggSpec>& specs = store->dense_specs();
   const int trailing = store->trailing_var();
   const bool desc = plan->rank_desc;
+  VmState vm;  // register file for materializing rows and scores
 
   std::vector<ClosedContext> ctxs;
   ctxs.reserve(sets.size());
@@ -302,12 +304,12 @@ void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
         AggStates aggs = g.base_aggs;
         for (const EventPtr& ev : tb) aggs.Accept(trailing, *ev);
         PathContext ctx(&m.bindings, &aggs);
-        m.row.reserve(plan->analyzed.ast.select.size());
-        for (const auto& item : plan->analyzed.ast.select) {
-          auto v = Evaluate(*item.expr, ctx);
+        m.row.reserve(plan->select_progs.size());
+        for (const BytecodeProgramPtr& prog : plan->select_progs) {
+          auto v = VmEvaluate(*prog, ctx, &vm);
           m.row.push_back(v.ok() ? std::move(v).value() : Value::Null());
         }
-        m.score = EvaluateScore(*plan->score, ctx);
+        m.score = VmEvaluateScore(*plan->score_prog, ctx, &vm);
         ++*matches_enumerated;
         topk->Offer(std::move(m));
         break;

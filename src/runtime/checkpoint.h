@@ -36,8 +36,12 @@ namespace ckpt {
 inline constexpr char kMagic[8] = {'C', 'E', 'P', 'R', 'C', 'K', 'P', 'T'};
 /// v2: MatcherStats gained the dag counters, matcher bodies gained the
 /// DAG-group section, ranker bodies gained enumeration counters + pending
-/// lazy sets (the shared-match-DAG feature). v1 snapshots are rejected.
-inline constexpr uint32_t kVersion = 2;
+/// lazy sets (the shared-match-DAG feature).
+/// v3: the per-query option block lost its four hot-path ablation bools,
+/// the engine option blocks lost their three routing/late-event switches,
+/// and query state lost its self-counted event ordinal and event count.
+/// Older snapshots are rejected, naming their version.
+inline constexpr uint32_t kVersion = 3;
 
 enum class EngineKind : uint8_t { kSerial = 0, kSharded = 1 };
 

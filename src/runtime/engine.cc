@@ -16,11 +16,7 @@ Engine::Engine(EngineOptions options) : options_(options) {}
 ReorderConfig Engine::DefaultReorderConfig() const {
   ReorderConfig config;
   config.max_lateness_micros = options_.max_lateness_micros;
-  config.late_policy =
-      options_.late_policy != LatePolicy::kReject
-          ? options_.late_policy
-          : (options_.reject_out_of_order ? LatePolicy::kReject
-                                          : LatePolicy::kClamp);
+  config.late_policy = options_.late_policy;
   return config;
 }
 
@@ -112,22 +108,18 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
   auto running = std::make_unique<RunningQuery>(std::move(name), plan,
                                                 effective, sink,
                                                 std::move(forward), &live_runs_);
-  if (options_.shared_eval) {
-    bool deduped = false;
-    running->set_nfa_template(template_registry_.Intern(*plan, &deduped));
-    if (deduped) ++queries_deduped_;
-    if (effective.matcher.fault_injector != nullptr) {
-      // Injected fault schedules count matcher visits; only full per-query
-      // visits reproduce the per-query path's positions exactly.
-      degraded_faults_ = true;
-    }
-    StreamState* stream = StreamOf(plan);
-    running->BindSharedStream(&stream->next_sequence, stream->next_sequence);
-    queries_.emplace(key, std::move(running));
-    RebuildSharedStream(*stream);
-  } else {
-    queries_.emplace(key, std::move(running));
+  bool deduped = false;
+  running->set_nfa_template(template_registry_.Intern(*plan, &deduped));
+  if (deduped) ++queries_deduped_;
+  if (effective.matcher.fault_injector != nullptr) {
+    // Injected fault schedules count matcher visits; only full per-query
+    // visits reproduce their positions exactly.
+    degraded_faults_ = true;
   }
+  StreamState* stream = StreamOf(plan);
+  running->BindSharedStream(&stream->next_sequence, stream->next_sequence);
+  queries_.emplace(key, std::move(running));
+  RebuildSharedStream(*stream);
   // Keep the original (pre-merge) registration inputs: a checkpoint stores
   // them so Restore can re-register the query under its own engine caps.
   registrations_.insert_or_assign(
@@ -138,7 +130,7 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
   if (wal_ != nullptr && !replaying_) {
     BinWriter blob;
     blob.Str(std::string(query_text));
-    SaveQueryOptionsV1(&blob, options);
+    SaveQueryOptions(&blob, options);
     CEPR_RETURN_IF_ERROR(
         wal_->AppendDeploy(queries_.find(key)->second->name(), blob.buffer()));
     ++durability_.wal_records_appended;
@@ -239,13 +231,12 @@ Status Engine::RemoveQuery(std::string_view name) {
     return Status::NotFound("no query named '" + std::string(name) + "'");
   }
   it->second->Finish();
-  StreamState* stream =
-      options_.shared_eval ? StreamOf(it->second->plan()) : nullptr;
+  StreamState* stream = StreamOf(it->second->plan());
   // Erasing drops the query's template reference: the last sharer of a
   // signature frees the interned NfaTemplate (weak registry entry).
   registrations_.erase(ToLower(name));
   queries_.erase(it);
-  if (stream != nullptr) RebuildSharedStream(*stream);
+  RebuildSharedStream(*stream);
   RecomputeForwardTargets();
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendUndeploy(std::string(name)));
@@ -368,8 +359,7 @@ bool Engine::RouteBatchable(const StreamState& state,
   // to amortize the column build, and a stream no query re-ingests into
   // (forwarded events must interleave with the batch exactly as they would
   // per event, so forward targets stay on the per-event path).
-  return options_.batch_ingest && num_released > 1 && shared_eval_active() &&
-         !state.forward_target;
+  return num_released > 1 && shared_eval_active() && !state.forward_target;
 }
 
 Status Engine::Route(StreamState& state, std::vector<Event> released) {
@@ -400,17 +390,11 @@ Status Engine::Route(StreamState& state, std::vector<Event> released) {
 Status Engine::RouteAll(StreamState& state, const EventPtr& event) {
   for (auto& [key, query] : queries_) {
     if (query->plan()->schema() != state.schema) continue;
-    Status s;
-    if (options_.shared_eval) {
-      // Degraded shared mode: full visits, but ordinals stay derived from
-      // the stream position (the query never self-counts in shared mode).
-      bool evaluated = false;
-      s = query->OnEventAt(event,
-                           event->sequence() - query->registration_offset(),
-                           /*candidate=*/true, &evaluated);
-    } else {
-      s = query->OnEvent(event);
-    }
+    // Full visits; ordinals stay derived from the stream position.
+    bool evaluated = false;
+    const Status s =
+        query->OnEventAt(event, event->sequence() - query->registration_offset(),
+                         /*candidate=*/true, &evaluated);
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -606,7 +590,7 @@ Status Engine::PushAll(std::vector<Event> events) {
         current = state;
       }
       if (!released.empty() && !RouteBatchable(*state, /*num_released=*/2)) {
-        // Per-event streams (forward targets, batching off): route now,
+        // Per-event streams (forward targets, degraded routing): route now,
         // keeping release order against any accumulated batch.
         CEPR_RETURN_IF_ERROR(flush());
         s = Route(*state, std::move(released));

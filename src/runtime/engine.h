@@ -27,14 +27,10 @@ struct EngineOptions {
   /// place by the per-stream reorder buffer (see runtime/reorder.h).
   /// 0 = strict in-order ingest, today's default.
   Timestamp max_lateness_micros = 0;
-  /// Fate of events that miss the lateness bound. kClamp reproduces the
-  /// legacy `reject_out_of_order = false` timestamp-rewriting behavior
-  /// explicitly; kReject and kDropAndCount never mutate event time.
+  /// Fate of events that miss the lateness bound. kClamp rewrites their
+  /// timestamps to the watermark (the pre-reorder behavior); kReject and
+  /// kDropAndCount never mutate event time.
   LatePolicy late_policy = LatePolicy::kReject;
-  /// Legacy switch, kept for compatibility: when false and `late_policy`
-  /// is left at its kReject default, late events are clamped (the
-  /// pre-reorder behavior). Prefer setting `late_policy` directly.
-  bool reject_out_of_order = true;
 
   // -- Overload protection ---------------------------------------------------
   // Engine-wide caps overlaying each query's own MatcherOptions (see
@@ -56,33 +52,18 @@ struct EngineOptions {
   /// Optional deterministic fault-injection harness (tests/bench); not
   /// owned, must outlive the engine.
   const FaultInjector* fault_injector = nullptr;
-
-  // -- Shared multi-query evaluation ----------------------------------------
-
-  /// Route events through the shared evaluation layer: NFA templates are
-  /// interned per canonical signature, each stream's entry predicates are
-  /// indexed so an event dispatches only to queries it can affect, and
-  /// report-window boundaries are tracked once per (stream, window-scheme)
-  /// group. Ranked output per query is bit-identical to the per-query path
-  /// (docs/MULTIQUERY.md proves the skip conditions); `false` is the
-  /// ablation switch that preserves the classic visit-every-query routing.
-  /// Automatically degraded to full per-query visits while any registered
-  /// query has a fault injector armed, so injected fault schedules fire at
-  /// the exact event positions the per-query path would produce.
-  bool shared_eval = true;
-
-  /// Screen multi-event ingests (PushAll, reorder-buffer release bursts)
-  /// through one columnar PredicateIndex::ProbeBatch per stream run instead
-  /// of a per-event probe. Routing, sequencing and delivery order are
-  /// unchanged — per-query output is bit-identical either way — so this is
-  /// purely the vectorized-screening ablation knob. Streams that are EMIT
-  /// INTO targets always take the per-event path (re-ingestion may land
-  /// mid-batch and must interleave exactly as it would per event).
-  bool batch_ingest = true;
 };
 
 /// The CEPR system facade: stream registry, query registry, and the ingest
-/// path. Typical use:
+/// path. Events route through the shared evaluation layer
+/// (docs/MULTIQUERY.md): NFA templates are interned per canonical
+/// signature, each stream's entry predicates are indexed so an event
+/// dispatches only to the queries it can affect, report-window boundaries
+/// are tracked once per (stream, window-scheme) group, and multi-event
+/// releases are screened with one columnar PredicateIndex::ProbeBatch.
+/// While any registered query has a fault injector armed, routing degrades
+/// to full per-query visits so injected fault schedules fire at the same
+/// event positions. Typical use:
 ///
 ///   Engine engine;
 ///   engine.ExecuteDdl("CREATE STREAM Stock (symbol STRING, price FLOAT)");
@@ -213,11 +194,9 @@ class Engine {
   const TemplateRegistry& template_registry() const {
     return template_registry_;
   }
-  /// True while events actually route through the shared layer (i.e.
-  /// shared_eval is on and no fault injector has degraded it).
-  bool shared_eval_active() const {
-    return options_.shared_eval && !degraded_faults_;
-  }
+  /// True while events route through the shared layer's predicate index
+  /// (no fault injector has degraded routing to full visits).
+  bool shared_eval_active() const { return !degraded_faults_; }
 
  private:
   /// Per-stream state of the shared evaluation layer. Queries are referred
@@ -270,8 +249,7 @@ class Engine {
   /// validating the derived stream's schema.
   Result<RunningQuery::ForwardFn> MakeForwarder(const CompiledQueryPtr& plan);
 
-  /// The per-stream ReorderConfig implied by EngineOptions (legacy
-  /// `reject_out_of_order = false` maps to LatePolicy::kClamp).
+  /// The per-stream ReorderConfig implied by EngineOptions.
   ReorderConfig DefaultReorderConfig() const;
 
   /// Validates `event` against the stream registry and offers it to the
@@ -282,9 +260,8 @@ class Engine {
   /// Stamps each released event with the stream's sequence number and fans
   /// it out to the stream's queries, in release order.
   Status Route(StreamState& state, std::vector<Event> released);
-  /// Classic path: every query of the stream, in name order. Used when
-  /// shared_eval is off (per-query counting) or degraded (explicit
-  /// ordinals, full visits).
+  /// Degraded path while a fault injector is armed: every query of the
+  /// stream, in name order, visited as a candidate.
   Status RouteAll(StreamState& state, const EventPtr& event);
   /// Shared path: predicate-index probe, then visit only candidate, hot
   /// and window-due queries (in name order — same delivery interleaving as
@@ -298,6 +275,8 @@ class Engine {
   /// then the per-event visit loop with precomputed candidates. Only
   /// reached when RouteBatchable(state) held.
   Status RouteBatch(StreamState& state, std::vector<Event> released);
+  /// Whether a release of `num_released` events takes RouteBatch: more
+  /// than one event, a stream no query EMITs INTO, and the index in use.
   bool RouteBatchable(const StreamState& state, size_t num_released) const;
   /// Recomputes every stream's forward_target flag from the live queries'
   /// EMIT INTO targets (query add/remove).

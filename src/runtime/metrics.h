@@ -77,11 +77,10 @@ struct ShardStats {
 };
 
 /// Counters of the shared multi-query evaluation layer (docs/MULTIQUERY.md).
-/// All zeros when shared evaluation is disabled.
 struct SharingStats {
-  /// Whether the engine routed events through the shared layer. False
-  /// under `shared_eval = false` and when fault injection degraded the
-  /// engine to full per-query visits.
+  /// Whether the engine routed events through the shared layer's predicate
+  /// index. False while fault injection has degraded the engine to full
+  /// per-query visits.
   bool shared_eval = false;
   /// Query registrations that reused an already-interned NFA template
   /// (same canonical signature, different constants/k/partition slots).
@@ -95,7 +94,7 @@ struct SharingStats {
   uint64_t predindex_probes = 0;
   uint64_t predindex_candidates = 0;
   /// Events screened through the vectorized batch probe (a subset of
-  /// predindex_probes; zero when batch_ingest is off or ingest never
+  /// predindex_probes; zero when routing is degraded or ingest never
   /// released multi-event runs) and the candidate (event, query) pairs
   /// those batch scans marked in their bitmaps.
   uint64_t batch_scan_events = 0;

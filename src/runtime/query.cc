@@ -10,7 +10,7 @@ namespace {
 
 /// Dag mode defers matches to window close, so it composes only with the
 /// buffered heap-based policies; every other ranking policy falls back to
-/// the per-run path regardless of the knob.
+/// the per-run path regardless of shared_match_dag.
 MatcherOptions GateDagMode(MatcherOptions options, RankerPolicy policy) {
   if (policy != RankerPolicy::kHeap && policy != RankerPolicy::kPruned) {
     options.shared_match_dag = false;
@@ -37,29 +37,6 @@ RunningQuery::RunningQuery(std::string name, CompiledQueryPtr plan,
   emitter_.BindDagStore(matcher_.dag_store());
 }
 
-Status RunningQuery::OnEvent(const EventPtr& event) {
-  Stopwatch timer;
-  ++metrics_.events;
-  last_event_ts_ = event->timestamp();
-
-  std::vector<Match> matches;
-  std::vector<LazyMatchSet> lazy;
-  const bool dag = matcher_.dag_store() != nullptr;
-  const Status matched =
-      matcher_.OnEvent(event, &matches, dag ? &lazy : nullptr);
-  metrics_.matches += matches.size() + lazy.size();
-
-  // The emitter advances even on a fault so the window state stays
-  // coherent; `matches` is empty in that case.
-  std::vector<RankedResult> results;
-  emitter_.OnEvent(event->timestamp(), ordinal_++, std::move(matches),
-                   std::move(lazy), &results);
-  Deliver(std::move(results));
-
-  metrics_.event_processing_ns.Record(timer.ElapsedNanos());
-  return matched;
-}
-
 Status RunningQuery::OnEventAt(const EventPtr& event, uint64_t ordinal,
                                bool candidate, bool* evaluated) {
   Stopwatch timer;
@@ -74,7 +51,7 @@ Status RunningQuery::OnEventAt(const EventPtr& event, uint64_t ordinal,
 
   // The emitter advances unconditionally — even when the matcher visit was
   // skipped or faulted — so window closes land at the same (ts, ordinal)
-  // positions the per-query path produces.
+  // positions a visit on every event would produce.
   std::vector<RankedResult> results;
   emitter_.OnEvent(event->timestamp(), ordinal, std::move(matches),
                    std::move(lazy), &results);
@@ -107,12 +84,10 @@ void RunningQuery::Deliver(std::vector<RankedResult> results) {
 }
 
 void RunningQuery::SaveState(EventInterner* in, BinWriter* w) const {
-  w->U64(metrics_.events);
   w->U64(metrics_.matches);
   w->U64(metrics_.results);
   metrics_.event_processing_ns.Save(w);
   metrics_.emission_delay_us.Save(w);
-  w->U64(ordinal_);
   w->I64(last_event_ts_);
   w->U64(registration_offset_);
   emitter_.SaveState(in, w);
@@ -120,19 +95,19 @@ void RunningQuery::SaveState(EventInterner* in, BinWriter* w) const {
 }
 
 bool RunningQuery::LoadState(EventUninterner* in, BinReader* r) {
-  return r->U64(&metrics_.events) && r->U64(&metrics_.matches) &&
-         r->U64(&metrics_.results) && metrics_.event_processing_ns.Load(r) &&
-         metrics_.emission_delay_us.Load(r) && r->U64(&ordinal_) &&
-         r->I64(&last_event_ts_) && r->U64(&registration_offset_) &&
-         emitter_.LoadState(in, r) && matcher_.LoadState(in, r);
+  return r->U64(&metrics_.matches) && r->U64(&metrics_.results) &&
+         metrics_.event_processing_ns.Load(r) &&
+         metrics_.emission_delay_us.Load(r) && r->I64(&last_event_ts_) &&
+         r->U64(&registration_offset_) && emitter_.LoadState(in, r) &&
+         matcher_.LoadState(in, r);
 }
 
 QueryMetrics RunningQuery::metrics() const {
   QueryMetrics snapshot = metrics_;
   if (stream_sequence_ != nullptr) {
-    // Shared evaluation: the engine does not visit this query per event,
-    // so count events from the stream position instead — every stream
-    // event since registration logically reached the query.
+    // The engine does not visit this query per event, so count events from
+    // the stream position — every stream event since registration
+    // logically reached the query.
     snapshot.events = *stream_sequence_ - registration_offset_;
   }
   snapshot.matcher = matcher_.stats();

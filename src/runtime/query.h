@@ -37,19 +37,16 @@ class RunningQuery {
                Sink* sink, ForwardFn forward = nullptr,
                size_t* live_runs = nullptr);
 
-  /// Feeds one event (already validated against the query's stream).
-  /// Fails only on a runtime fault under FaultPolicy::kFailFast; the
-  /// window/ranking state stays coherent either way.
-  Status OnEvent(const EventPtr& event);
-
-  /// Shared-evaluation entry: like OnEvent but with the per-query ordinal
-  /// supplied by the caller (stream sequence minus registration offset —
-  /// the shared layer does not visit this query on every event, so it
-  /// cannot count locally) and the predicate-index verdict. When
-  /// `candidate` is false and the event's partition holds no runs the
-  /// matcher visit is skipped (`*evaluated` = false); the emitter still
-  /// advances so report windows close at the same positions as the
-  /// per-query path. Timing is recorded only for evaluated events.
+  /// Feeds one event (already validated against the query's stream) with
+  /// the per-query ordinal supplied by the caller (stream sequence minus
+  /// registration offset — the shared layer does not visit this query on
+  /// every event, so it cannot count locally) and the predicate-index
+  /// verdict. When `candidate` is false and the event's partition holds no
+  /// runs the matcher visit is skipped (`*evaluated` = false); the emitter
+  /// still advances so report windows close at the same positions as a
+  /// visit would. Timing is recorded only for evaluated events. Fails only
+  /// on a runtime fault under FaultPolicy::kFailFast; the window/ranking
+  /// state stays coherent either way.
   Status OnEventAt(const EventPtr& event, uint64_t ordinal, bool candidate,
                    bool* evaluated);
 
@@ -68,9 +65,9 @@ class RunningQuery {
   const std::string& name() const { return name_; }
   const CompiledQueryPtr& plan() const { return plan_; }
   const Emitter& emitter() const { return emitter_; }
-  /// Snapshot of the metrics (matcher counters copied on call). Under
-  /// shared evaluation `events` is derived from the stream position (every
-  /// stream event logically reaches every query, visited or skipped).
+  /// Snapshot of the metrics (matcher counters copied on call). `events`
+  /// is derived from the stream position (every stream event logically
+  /// reaches every query, visited or skipped).
   QueryMetrics metrics() const;
   size_t active_runs() const { return matcher_.active_runs(); }
   size_t MemoryEstimate() const { return matcher_.MemoryEstimate(); }
@@ -85,17 +82,17 @@ class RunningQuery {
   uint64_t registration_offset() const { return registration_offset_; }
 
   /// Checkpoint serialization of the query's full mutable pipeline state:
-  /// metric counters/histograms, the per-query event ordinal, the emitter's
-  /// ranking state and every partition's run set. Load expects a freshly
+  /// metric counters/histograms, the emitter's ranking state and every
+  /// partition's run set. Load expects a freshly
   /// registered query with the same plan and options; the shared-stream
   /// pointer installed by BindSharedStream is left untouched (the engine
   /// rebinds it at re-registration).
   void SaveState(EventInterner* in, BinWriter* w) const;
   bool LoadState(EventUninterner* in, BinReader* r);
 
-  /// The interned NFA template this query shares (null when shared
-  /// evaluation is off). Held here so the template's refcount tracks query
-  /// lifetime — hot-removing the last sharer frees it.
+  /// The interned NFA template this query shares. Held here so the
+  /// template's refcount tracks query lifetime — hot-removing the last
+  /// sharer frees it.
   void set_nfa_template(std::shared_ptr<const NfaTemplate> t) {
     nfa_template_ = std::move(t);
   }
@@ -114,9 +111,8 @@ class RunningQuery {
   Emitter emitter_;
   PartitionedMatcher matcher_;
   QueryMetrics metrics_;
-  uint64_t ordinal_ = 0;        // events seen by this query (per-query path)
   Timestamp last_event_ts_ = 0; // emission-delay bookkeeping
-  const uint64_t* stream_sequence_ = nullptr;  // shared mode; not owned
+  const uint64_t* stream_sequence_ = nullptr;  // not owned
   uint64_t registration_offset_ = 0;
   std::shared_ptr<const NfaTemplate> nfa_template_;
 };

@@ -74,11 +74,7 @@ Status ShardedEngine::RegisterSchema(SchemaPtr schema) {
 ReorderConfig ShardedEngine::DefaultReorderConfig() const {
   ReorderConfig config;
   config.max_lateness_micros = options_.max_lateness_micros;
-  config.late_policy =
-      options_.late_policy != LatePolicy::kReject
-          ? options_.late_policy
-          : (options_.reject_out_of_order ? LatePolicy::kReject
-                                          : LatePolicy::kClamp);
+  config.late_policy = options_.late_policy;
   return config;
 }
 
@@ -149,16 +145,14 @@ Status ShardedEngine::RegisterQuery(std::string name,
   q->text = std::string(query_text);
   q->pending.resize(num_shards_);
   const uint32_t qi = static_cast<uint32_t>(queries_.size());
-  if (options_.shared_eval) {
-    bool deduped = false;
-    q->nfa_template = template_registry_.Intern(*plan, &deduped);
-    if (deduped) queries_deduped_.Increment();
-    if (options.matcher.fault_injector != nullptr) query_injector_ = true;
-    // Index the query's entry predicates on its stream (registration is
-    // pre-start, so the global query index is a stable key).
-    const auto sit = streams_.find(ToLower(plan->schema()->name()));
-    if (sit != streams_.end()) sit->second.index.AddQuery(qi, plan.get());
-  }
+  bool deduped = false;
+  q->nfa_template = template_registry_.Intern(*plan, &deduped);
+  if (deduped) queries_deduped_.Increment();
+  if (options.matcher.fault_injector != nullptr) query_injector_ = true;
+  // Index the query's entry predicates on its stream (registration is
+  // pre-start, so the global query index is a stable key).
+  const auto sit = streams_.find(ToLower(plan->schema()->name()));
+  if (sit != streams_.end()) sit->second.index.AddQuery(qi, plan.get());
   query_index_.emplace(key, qi);
   queries_.push_back(std::move(q));
   // Journal the deploy (pre-merge options, like the snapshot) so a
@@ -166,7 +160,7 @@ Status ShardedEngine::RegisterQuery(std::string name,
   if (wal_ != nullptr && !replaying_) {
     BinWriter blob;
     blob.Str(std::string(query_text));
-    SaveQueryOptionsV1(&blob, options);
+    SaveQueryOptions(&blob, options);
     CEPR_RETURN_IF_ERROR(
         wal_->AppendDeploy(queries_.back()->name, blob.buffer()));
     wal_appended_.Increment();
@@ -530,7 +524,7 @@ bool ShardedEngine::RouteBatchable(const StreamState& state,
   // while the shared layer's index is actually consulted. (EMIT INTO is
   // rejected at registration, so unlike the serial engine there is no
   // re-ingestion interleaving concern.)
-  return options_.batch_ingest && num_released > 1 && shared_eval_active() &&
+  return num_released > 1 && shared_eval_active() &&
          state.index.num_queries() > 0;
 }
 

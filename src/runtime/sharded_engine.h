@@ -41,8 +41,6 @@ struct ShardedEngineOptions {
   /// released order, so serial/sharded equivalence holds under disorder.
   Timestamp max_lateness_micros = 0;
   LatePolicy late_policy = LatePolicy::kReject;
-  /// Same semantics as EngineOptions::reject_out_of_order.
-  bool reject_out_of_order = true;
   /// Longest one enqueue may wait on a full shard ring before giving up:
   /// past the budget the shard is presumed dead/wedged and Push fails with
   /// kUnavailable naming it (counted in ShardStats::stalls_tripped).
@@ -60,27 +58,6 @@ struct ShardedEngineOptions {
   ShedPolicy shed_policy = ShedPolicy::kShedOldest;
   FaultPolicy fault_policy = FaultPolicy::kFailFast;
   const FaultInjector* fault_injector = nullptr;  // not owned; may be null
-
-  /// Shared multi-query evaluation (docs/MULTIQUERY.md): NFA templates are
-  /// interned per canonical signature and the router probes each stream's
-  /// entry-predicate index once per event, tagging the per-query messages
-  /// so shards skip matcher visits that are provably no-ops. Per-query
-  /// ranked output is bit-identical either way; `false` is the ablation
-  /// switch. Degraded automatically (full visits) while any fault injector
-  /// is armed, so injected schedules fire at per-query-path positions.
-  /// Note the router still enqueues one message per (event, query) —
-  /// ordinal and barrier bookkeeping is per query — so ingest-side cost
-  /// stays O(queries) per event; the saving is shard-side matcher work.
-  bool shared_eval = true;
-
-  /// Columnar ingest screening (the vectorized-probe ablation knob): when a
-  /// reorder release or a PushAll run yields more than one event for the
-  /// same stream, the router probes the entry-predicate index once over the
-  /// whole batch (tight column scans into per-row candidate bitmaps) instead
-  /// of per event. Routing, ordinals, barriers and shard enqueues stay per
-  /// event, so ranked output is bit-identical either way. Only engages while
-  /// shared_eval is active (the probe verdicts are what the batch computes).
-  bool batch_ingest = true;
 };
 
 /// Parallel counterpart of Engine: PARTITION BY keys are hashed across N
@@ -92,6 +69,16 @@ struct ShardedEngineOptions {
 /// lists are k-way merged under the deterministic (score, detecting-event
 /// sequence, matcher id) order and cut to LIMIT — byte-identical to the
 /// serial result (tested property; see docs/ARCHITECTURE.md).
+///
+/// Shared multi-query evaluation (docs/MULTIQUERY.md): NFA templates are
+/// interned per canonical signature and the router probes each stream's
+/// entry-predicate index once per event (once per multi-event release,
+/// columnar), tagging the per-query messages so shards skip matcher visits
+/// that are provably no-ops. While any fault injector is armed every
+/// message is a candidate, so injected schedules fire at the same
+/// positions. The router still enqueues one message per (event, query) —
+/// ordinal and barrier bookkeeping is per query — so ingest-side cost stays
+/// O(queries) per event; the saving is shard-side matcher work.
 ///
 /// Threading contract: one ingest thread drives ExecuteDdl / RegisterQuery
 /// / Push / Finish (never concurrently); sinks are invoked on that ingest
@@ -228,10 +215,9 @@ class ShardedEngine {
     return template_registry_;
   }
   /// True while the router probes predicate indexes and tags candidates
-  /// (shared_eval on and no fault injector armed anywhere).
+  /// (no fault injector armed anywhere).
   bool shared_eval_active() const {
-    return options_.shared_eval && options_.fault_injector == nullptr &&
-           !query_injector_;
+    return options_.fault_injector == nullptr && !query_injector_;
   }
 
  private:
@@ -333,7 +319,7 @@ class ShardedEngine {
     ShardRouter router;
     ReportWindowAssigner windows;
     ShardMergeOptions merge;
-    /// Interned NFA template (shared_eval only): refcount tracks query
+    /// Interned NFA template: refcount tracks query
     /// lifetime, equal pointers mean structurally shared plans.
     std::shared_ptr<const NfaTemplate> nfa_template;
 
@@ -361,8 +347,7 @@ class ShardedEngine {
   /// before the first Push or after Finish (joined threads happen-before).
   Status Quiesce();
   void ShardMain(size_t shard_index);
-  /// The per-stream ReorderConfig implied by ShardedEngineOptions (legacy
-  /// `reject_out_of_order = false` maps to LatePolicy::kClamp).
+  /// The per-stream ReorderConfig implied by ShardedEngineOptions.
   ReorderConfig DefaultReorderConfig() const;
   /// Validation + reorder-buffer Offer shared by Push and PushAll: returns
   /// the owning stream with `released` filled in release order (empty for a
@@ -377,7 +362,8 @@ class ShardedEngine {
   Status RouteStamped(StreamState& state, Event event, bool use_index,
                       const std::vector<uint32_t>& cand);
   /// True when `num_released` same-stream events should go through one
-  /// ProbeBatch instead of per-event probes.
+  /// ProbeBatch instead of per-event probes: more than one event, and the
+  /// stream's index in use.
   bool RouteBatchable(const StreamState& state, size_t num_released) const;
   /// One batched probe over `released`, then per-event routing. Bit-identical
   /// to RouteReleased in a loop (tested property).

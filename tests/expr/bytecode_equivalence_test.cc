@@ -1,8 +1,8 @@
 // Differential fuzz test: the bytecode VM must be bit-identical to the AST
 // evaluator — same value for every OK evaluation, NULL where the other is
-// NULL, and an error status with the same code where the other errors. This
-// is the property that lets `bytecode_eval` flip freely without changing
-// ranked output (docs/ARCHITECTURE.md, "Predicate bytecode").
+// NULL, and an error status with the same code where the other errors. The
+// VM is the runtime's only evaluator and the tree walker is its oracle here
+// (docs/ARCHITECTURE.md, "Predicate bytecode").
 //
 // We generate random type-correct expression trees over the SEQ(a, b+, c)
 // Stock layout, seed the leaves with adversarial constants (NULL, NaN,

@@ -1,10 +1,12 @@
-// Property suite for the hot-path ablation modes: copy-on-write bindings,
-// the run/binding arena, and the per-event predicate cache are pure
-// optimizations, so every combination must produce byte-identical ranked
-// output to the legacy deep-copy configuration — serial and sharded, on
-// fork-heavy SKIP_TILL_ANY_MATCH workloads, under load shedding, and under
-// a deterministic injected fault schedule (docs/ARCHITECTURE.md,
-// "Run-state memory model").
+// Golden-output suite for the matcher's hot path: copy-on-write bindings,
+// the run/binding arena, the per-event predicate cache, the bytecode VM,
+// columnar expiry, the shared match DAG and batched ingest screening are
+// pure optimizations, so the default engine — serial and sharded at every
+// shard count — must reproduce, line for line, the ranked output recorded
+// from the legacy configuration (deep-copied bindings, no arena, no cache,
+// AST evaluation, per-run expiry, per-run Kleene fan-out) before those
+// paths were deleted. Workloads and fixture encoding: ranked_fixture.h;
+// fixtures: golden/*.txt.
 
 #include <gtest/gtest.h>
 
@@ -12,258 +14,131 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "integration/ranked_fixture.h"
 #include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
-#include "workload/forkheavy.h"
-#include "workload/health.h"
-#include "workload/stock.h"
 
 namespace cepr {
 namespace {
 
-struct Mode {
-  const char* label;
-  bool cow_bindings;
-  bool use_arena;
-  bool predicate_cache;
-  bool bytecode_eval;
-};
+using testing::DagEligibleWorkload;
+using testing::FormatResults;
+using testing::KleeneWorkload;
+using testing::NegationWorkload;
+using testing::RankedWorkload;
+using testing::ReadGolden;
+using testing::SkipTillAnyWorkload;
 
-// Mode 0 is the legacy baseline; the last mode is the full fast path (the
-// default). Layered so each step isolates one mechanism (E14/E17's axes) —
-// the final step swaps the recursive AST evaluator for the bytecode VM.
-constexpr Mode kModes[] = {
-    {"legacy-deep-copy", false, false, false, false},
-    {"cow", true, false, false, false},
-    {"cow+arena", true, true, false, false},
-    {"cow+arena+predcache", true, true, true, false},
-    {"cow+arena+predcache+bytecode", true, true, true, true},
-};
+using Workload = RankedWorkload;
 
-struct Workload {
-  const char* label;
-  SchemaPtr schema;
-  std::vector<Event> events;
-  std::string query;
-  QueryOptions options;  // matcher ablation flags overwritten per mode
-};
-
-// Fork-heavy: SKIP_TILL_ANY_MATCH forks a run at every Kleene extension,
-// and the mixed event-only ("< 90") / correlated conjuncts exercise both
-// predicate-cache paths. The tight run cap with bound-based shedding makes
-// DeriveBounds run against COW bindings constantly.
-Workload SkipTillAnyWorkload(uint64_t seed, size_t n = 2500) {
-  StockOptions options;
-  options.base.seed = seed;
-  options.num_symbols = 4;
-  options.v_probability = 0.05;
-  options.base.interval_micros = 1000;
-  StockGenerator gen(options);
-  Workload w{"skip-any", gen.schema(), gen.Take(n),
-             "SELECT a.symbol, a.price, MIN(b.price), c.price "
-             "FROM Stock MATCH PATTERN SEQ(a, b+, c) "
-             "USING SKIP_TILL_ANY_MATCH "
-             "PARTITION BY symbol "
-             "WHERE b[i].price < b[i-1].price AND b[i].price < 900 "
-             "  AND b[1].price < a.price AND c.price > a.price "
-             "WITHIN 100 MILLISECONDS "
-             "RANK BY (a.price - MIN(b.price)) / a.price DESC "
-             "LIMIT 10 EMIT ON WINDOW CLOSE",
-             QueryOptions{}};
-  w.options.matcher.max_active_runs = 64;
-  w.options.matcher.shed_policy = ShedPolicy::kShedLowestScoreBound;
-  return w;
-}
-
-// Negation + event-only begin predicate; default caps.
-Workload NegationWorkload(uint64_t seed, size_t n = 4000) {
-  StockOptions options;
-  options.base.seed = seed;
-  options.num_symbols = 4;
-  options.v_probability = 0.04;
-  options.base.interval_micros = 1000;
-  StockGenerator gen(options);
-  return Workload{"negation", gen.schema(), gen.Take(n),
-                  "SELECT a.symbol, a.price, c.price "
-                  "FROM Stock MATCH PATTERN SEQ(a, !n, c) "
-                  "PARTITION BY symbol "
-                  "WHERE a.price > 20 AND n.price > a.price "
-                  "  AND c.price < a.price "
-                  "WITHIN 20 MILLISECONDS "
-                  "RANK BY a.price - c.price DESC "
-                  "LIMIT 5 EMIT ON WINDOW CLOSE",
-                  QueryOptions{}};
-}
-
-// Long Kleene chains (health vitals episodes) — deep shared prefixes.
-Workload KleeneWorkload(uint64_t seed, size_t n = 4000) {
-  HealthOptions options;
-  options.base.seed = seed;
-  options.num_patients = 6;
-  options.episode_probability = 0.015;
-  HealthGenerator gen(options);
-  return Workload{"kleene", gen.schema(), gen.Take(n),
-                  "SELECT a.patient, a.heart_rate, MAX(r.heart_rate) "
-                  "FROM Vitals MATCH PATTERN SEQ(a, r+) "
-                  "PARTITION BY patient "
-                  "WHERE r[i].heart_rate > r[i-1].heart_rate "
-                  "  AND r[1].heart_rate > a.heart_rate "
-                  "WITHIN 30 SECONDS "
-                  "RANK BY MAX(r.heart_rate) - a.heart_rate DESC "
-                  "LIMIT 5 EMIT ON WINDOW CLOSE",
-                  QueryOptions{}};
-}
-
-// Dag-eligible: trailing unbounded Kleene-plus under skip-till-any with
-// event-only iteration predicates, ranked buffered emission — the shape the
-// shared match DAG covers. SUM(b.price) discriminates between suffix
-// subsets so lazy enumeration stays near O(k); the 12ms window bounds the
-// per-run baseline's 2^t fork fan-out to test scale.
-Workload DagEligibleWorkload(uint64_t seed, size_t n = 3000) {
-  ForkHeavyOptions options;
-  options.base.seed = seed;
-  options.num_streams = 2;
-  options.anchor_probability = 0.15;
-  options.base.interval_micros = 1000;
-  ForkHeavyGenerator gen(options);
-  return Workload{"fork-heavy-dag", gen.schema(), gen.Take(n),
-                  "SELECT a.price, SUM(b.price), COUNT(b) "
-                  "FROM ForkTick MATCH PATTERN SEQ(a, b+) "
-                  "USING SKIP_TILL_ANY_MATCH "
-                  "PARTITION BY sym "
-                  "WHERE a.anchor = 1 AND b[i].anchor = 0 "
-                  "WITHIN 12 MILLISECONDS "
-                  "RANK BY SUM(b.price) DESC "
-                  "LIMIT 5 EMIT ON WINDOW CLOSE",
-                  QueryOptions{}};
-}
-
-QueryOptions WithMode(QueryOptions options, const Mode& mode) {
-  options.matcher.cow_bindings = mode.cow_bindings;
-  options.matcher.use_arena = mode.use_arena;
-  options.matcher.predicate_cache = mode.predicate_cache;
-  options.matcher.bytecode_eval = mode.bytecode_eval;
-  return options;
-}
-
-std::vector<RankedResult> RunSerial(const Workload& w, const Mode& mode,
-                                    const FaultInjector* injector = nullptr) {
-  EngineOptions engine_options;
-  if (injector != nullptr) {
-    engine_options.fault_policy = FaultPolicy::kSkipAndCount;
-    engine_options.fault_injector = injector;
+// The fault-injection wiring of one run: a fresh injector per engine so
+// fire counts never leak across runs.
+struct Faults {
+  explicit Faults(const std::vector<uint64_t>* keys) : injector(1) {
+    if (keys != nullptr) injector.ArmKeys(fault_points::kEvalPoison, *keys);
+    armed = keys != nullptr;
   }
-  Engine engine(engine_options);
+  template <typename Options>
+  void Apply(Options* options) {
+    if (!armed) return;
+    options->fault_policy = FaultPolicy::kSkipAndCount;
+    options->fault_injector = &injector;
+  }
+  FaultInjector injector;
+  bool armed = false;
+};
+
+template <typename EngineT>
+std::vector<RankedResult> Drive(EngineT& engine, const Workload& w,
+                                bool push_all) {
   EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
-  const Status s =
-      engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink);
+  const Status s = engine.RegisterQuery("q", w.query, w.options, &sink);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  for (const Event& e : w.events) {
-    const Status push = engine.Push(Event(e));
+  if (push_all) {
+    std::vector<Event> events = w.events;
+    const Status push = engine.PushAll(std::move(events));
     EXPECT_TRUE(push.ok()) << push.ToString();
-  }
-  engine.Finish();
-  return sink.results();
-}
-
-std::vector<RankedResult> RunSharded(const Workload& w, const Mode& mode,
-                                     size_t num_shards,
-                                     const FaultInjector* injector = nullptr) {
-  ShardedEngineOptions engine_options;
-  engine_options.num_shards = num_shards;
-  if (injector != nullptr) {
-    engine_options.fault_policy = FaultPolicy::kSkipAndCount;
-    engine_options.fault_injector = injector;
-  }
-  ShardedEngine engine(engine_options);
-  EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
-  CollectSink sink;
-  const Status s =
-      engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  for (const Event& e : w.events) {
-    const Status push = engine.Push(Event(e));
-    EXPECT_TRUE(push.ok()) << push.ToString();
-  }
-  engine.Finish();
-  return sink.results();
-}
-
-void ExpectIdentical(const std::vector<RankedResult>& expected,
-                     const std::vector<RankedResult>& actual,
-                     const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].window_id, actual[i].window_id) << label << " @" << i;
-    EXPECT_EQ(expected[i].rank, actual[i].rank) << label << " @" << i;
-    EXPECT_EQ(expected[i].provisional, actual[i].provisional)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.first_ts, actual[i].match.first_ts)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.last_ts, actual[i].match.last_ts)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.last_sequence, actual[i].match.last_sequence)
-        << label << " @" << i;
-    EXPECT_DOUBLE_EQ(expected[i].match.score, actual[i].match.score)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.row, actual[i].match.row) << label << " @" << i;
-  }
-}
-
-// Every ablation mode, serial and sharded at every shard count, must equal
-// the legacy deep-copy serial baseline.
-void CheckAllModes(const Workload& w) {
-  const auto baseline = RunSerial(w, kModes[0]);
-  EXPECT_FALSE(baseline.empty())
-      << w.label << ": workload produced no results; weak test";
-  for (const Mode& mode : kModes) {
-    ExpectIdentical(baseline, RunSerial(w, mode),
-                    std::string(w.label) + " serial " + mode.label);
-    for (size_t shards : {1u, 2u, 4u}) {
-      ExpectIdentical(baseline, RunSharded(w, mode, shards),
-                      std::string(w.label) + " shards=" +
-                          std::to_string(shards) + " " + mode.label);
+  } else {
+    for (const Event& e : w.events) {
+      const Status push = engine.Push(Event(e));
+      EXPECT_TRUE(push.ok()) << push.ToString();
     }
+  }
+  engine.Finish();
+  return sink.results();
+}
+
+std::vector<RankedResult> RunSerial(const Workload& w,
+                                    const std::vector<uint64_t>* poison = nullptr,
+                                    bool push_all = false) {
+  Faults faults(poison);
+  EngineOptions options;
+  faults.Apply(&options);
+  Engine engine(options);
+  return Drive(engine, w, push_all);
+}
+
+std::vector<RankedResult> RunSharded(const Workload& w, size_t num_shards,
+                                     const std::vector<uint64_t>* poison = nullptr,
+                                     bool push_all = false) {
+  Faults faults(poison);
+  ShardedEngineOptions options;
+  options.num_shards = num_shards;
+  faults.Apply(&options);
+  ShardedEngine engine(options);
+  return Drive(engine, w, push_all);
+}
+
+void ExpectGolden(const std::vector<std::string>& golden,
+                  const std::vector<RankedResult>& actual,
+                  const std::string& label) {
+  ASSERT_FALSE(golden.empty()) << label << ": fixture missing or empty";
+  const std::vector<std::string> lines = FormatResults(actual);
+  ASSERT_EQ(golden.size(), lines.size()) << label;
+  for (size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(golden[i], lines[i]) << label << " @" << i;
+  }
+}
+
+// Serial and sharded{1,2,4} must each equal the recorded fixture.
+void CheckAgainstGolden(const Workload& w, const std::string& fixture) {
+  const std::vector<std::string> golden = ReadGolden(fixture);
+  ExpectGolden(golden, RunSerial(w), fixture + " serial");
+  for (size_t shards : {1u, 2u, 4u}) {
+    ExpectGolden(golden, RunSharded(w, shards),
+                 fixture + " shards=" + std::to_string(shards));
   }
 }
 
 TEST(CowEquivalenceTest, SkipTillAnyForkHeavyWithShedding) {
-  for (uint64_t seed : {42u, 7u}) CheckAllModes(SkipTillAnyWorkload(seed));
+  CheckAgainstGolden(SkipTillAnyWorkload(42), "skip_any_seed42");
+  CheckAgainstGolden(SkipTillAnyWorkload(7), "skip_any_seed7");
 }
 
 TEST(CowEquivalenceTest, NegationPatterns) {
-  CheckAllModes(NegationWorkload(42));
+  CheckAgainstGolden(NegationWorkload(42), "negation_seed42");
 }
 
 TEST(CowEquivalenceTest, LongKleeneChains) {
-  CheckAllModes(KleeneWorkload(42));
+  CheckAgainstGolden(KleeneWorkload(42), "kleene_seed42");
 }
 
 // The shared match DAG with lazy enumeration is a pure representation
-// change: ranked output must be bit-identical to the per-run path on the
-// dag-eligible workload — every ablation mode, dag on and off, serial and
-// sharded at every shard count.
+// change: with it on (the default) and off, serial and sharded at every
+// shard count, the dag-eligible workload reproduces the per-run fixture.
 TEST(CowEquivalenceTest, SharedMatchDagMatchesPerRunPath) {
   for (uint64_t seed : {42u, 7u}) {
-    Workload off = DagEligibleWorkload(seed);
-    off.options.matcher.shared_match_dag = false;
-    const auto baseline = RunSerial(off, kModes[0]);
-    EXPECT_FALSE(baseline.empty())
-        << "dag workload produced no results; weak test";
-
-    for (const Mode& mode : kModes) {
-      for (bool dag : {false, true}) {
-        Workload w = DagEligibleWorkload(seed);
-        w.options.matcher.shared_match_dag = dag;
-        const std::string tag = std::string("dag=") + (dag ? "on" : "off") +
-                                " seed=" + std::to_string(seed) + " " +
-                                mode.label;
-        ExpectIdentical(baseline, RunSerial(w, mode), "serial " + tag);
-        for (size_t shards : {1u, 2u, 4u}) {
-          ExpectIdentical(baseline, RunSharded(w, mode, shards),
-                          "shards=" + std::to_string(shards) + " " + tag);
-        }
+    const std::string fixture = "dag_seed" + std::to_string(seed);
+    for (bool dag : {false, true}) {
+      Workload w = DagEligibleWorkload(seed);
+      w.options.matcher.shared_match_dag = dag;
+      const std::vector<std::string> golden = ReadGolden(fixture);
+      const std::string tag = fixture + (dag ? " dag=on" : " dag=off");
+      ExpectGolden(golden, RunSerial(w), tag + " serial");
+      for (size_t shards : {1u, 2u, 4u}) {
+        ExpectGolden(golden, RunSharded(w, shards),
+                     tag + " shards=" + std::to_string(shards));
       }
     }
   }
@@ -273,138 +148,69 @@ TEST(CowEquivalenceTest, SharedMatchDagMatchesPerRunPath) {
 // on the same events and the surviving ranked output must stay identical
 // whether the trailing fan-out lives in runs or in DAG groups.
 TEST(CowEquivalenceTest, SharedMatchDagIdenticalUnderInjectedFaults) {
-  const std::vector<uint64_t> poison_keys = {3, 250, 251, 777, 1800, 2999};
-
-  Workload off = DagEligibleWorkload(42);
-  off.options.matcher.shared_match_dag = false;
-  FaultInjector baseline_injector(1);
-  baseline_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  const auto baseline = RunSerial(off, kModes[0], &baseline_injector);
-  EXPECT_FALSE(baseline.empty()) << "faulted dag workload produced no results";
-
+  const std::vector<uint64_t> poison = testing::DagPoisonKeys();
+  const std::vector<std::string> golden = ReadGolden("dag_seed42_faults");
   for (bool dag : {false, true}) {
     Workload w = DagEligibleWorkload(42);
     w.options.matcher.shared_match_dag = dag;
     const std::string tag = std::string("dag=") + (dag ? "on" : "off");
-
-    FaultInjector serial_injector(1);
-    serial_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSerial(w, kModes[4], &serial_injector),
-                    "faulted serial " + tag);
-
-    FaultInjector sharded_injector(1);
-    sharded_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSharded(w, kModes[4], 2, &sharded_injector),
-                    "faulted shards=2 " + tag);
+    ExpectGolden(golden, RunSerial(w, &poison), "faulted serial " + tag);
+    ExpectGolden(golden, RunSharded(w, 2, &poison), "faulted shards=2 " + tag);
   }
 }
 
-// Columnar window-buffer eviction is observationally identical to the
-// per-run expiry check, on both the per-run and the dag path.
+// Column-scan expiry (the only expiry left) reproduces the fixtures the
+// per-run expiry check recorded, on the per-run and the dag path.
 TEST(CowEquivalenceTest, ColumnarExpiryMatchesPerRunExpiry) {
   for (bool dag_workload : {false, true}) {
-    Workload base = dag_workload ? DagEligibleWorkload(42)
-                                 : SkipTillAnyWorkload(42);
-    base.options.matcher.columnar_expiry = false;
-    const auto baseline = RunSerial(base, kModes[0]);
-    EXPECT_FALSE(baseline.empty()) << base.label;
-
-    for (bool columnar : {false, true}) {
-      Workload w = dag_workload ? DagEligibleWorkload(42)
-                                : SkipTillAnyWorkload(42);
-      w.options.matcher.columnar_expiry = columnar;
-      const std::string tag = std::string(w.label) + " columnar_expiry=" +
-                              (columnar ? "on" : "off");
-      ExpectIdentical(baseline, RunSerial(w, kModes[4]), "serial " + tag);
-      for (size_t shards : {1u, 2u}) {
-        ExpectIdentical(baseline, RunSharded(w, kModes[4], shards),
-                        "shards=" + std::to_string(shards) + " " + tag);
-      }
+    const Workload w =
+        dag_workload ? DagEligibleWorkload(42) : SkipTillAnyWorkload(42);
+    const std::vector<std::string> golden =
+        ReadGolden(dag_workload ? "dag_seed42" : "skip_any_seed42");
+    ExpectGolden(golden, RunSerial(w), std::string(w.label) + " serial");
+    for (size_t shards : {1u, 2u}) {
+      ExpectGolden(golden, RunSharded(w, shards),
+                   std::string(w.label) + " shards=" + std::to_string(shards));
     }
   }
 }
 
 TEST(CowEquivalenceTest, IdenticalUnderInjectedFaults) {
-  // The PR3 fault schedule: the same poisoned events must be quarantined
-  // and the surviving output must stay identical in every mode. Each run
-  // gets its own injector so fire counts don't leak across runs.
+  // The same poisoned events must be quarantined and the surviving output
+  // must equal the fixture, serial and sharded.
   const Workload w = SkipTillAnyWorkload(42);
-  const std::vector<uint64_t> poison_keys = {7, 100, 101, 555, 1500, 3999};
-
-  FaultInjector baseline_injector(1);
-  baseline_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  const auto baseline = RunSerial(w, kModes[0], &baseline_injector);
-  EXPECT_FALSE(baseline.empty()) << "faulted workload produced no results";
-
-  for (const Mode& mode : kModes) {
-    FaultInjector serial_injector(1);
-    serial_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSerial(w, mode, &serial_injector),
-                    std::string("faulted serial ") + mode.label);
-
-    FaultInjector sharded_injector(1);
-    sharded_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSharded(w, mode, 2, &sharded_injector),
-                    std::string("faulted shards=2 ") + mode.label);
-  }
+  const std::vector<uint64_t> poison = testing::SkipTillAnyPoisonKeys();
+  const std::vector<std::string> golden = ReadGolden("skip_any_seed42_faults");
+  ExpectGolden(golden, RunSerial(w, &poison), "faulted serial");
+  ExpectGolden(golden, RunSharded(w, 2, &poison), "faulted shards=2");
 }
 
 // Batched columnar ingest (PushAll run accumulation + ProbeBatch screening)
-// is a pure screening optimization: for every mode, PushAll with
-// batch_ingest on must equal the per-event Push baseline exactly — serial
-// and sharded at every shard count.
+// is a pure screening optimization: PushAll must equal per-event Push
+// exactly — serial and sharded at every shard count — and both must equal
+// the fixture.
 TEST(CowEquivalenceTest, BatchedIngestMatchesPerEvent) {
   const Workload w = SkipTillAnyWorkload(42);
-  const auto baseline = RunSerial(w, kModes[0]);
-  ASSERT_FALSE(baseline.empty());
+  const std::vector<RankedResult> serial = RunSerial(w);
+  ExpectGolden(ReadGolden("skip_any_seed42"), serial, "serial Push");
+  const std::vector<std::string> per_event = FormatResults(serial);
 
-  for (const Mode& mode : {kModes[0], kModes[4]}) {
-    for (bool batch : {false, true}) {
-      const std::string tag = std::string(mode.label) +
-                              (batch ? " batch" : " per-event") + " PushAll";
-      {
-        EngineOptions engine_options;
-        engine_options.batch_ingest = batch;
-        Engine engine(engine_options);
-        ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
-        CollectSink sink;
-        ASSERT_TRUE(
-            engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink)
-                .ok());
-        std::vector<Event> events = w.events;
-        const Status s = engine.PushAll(std::move(events));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        engine.Finish();
-        ExpectIdentical(baseline, sink.results(), "serial " + tag);
-        if (batch) {
-          EXPECT_GT(engine.Snapshot().sharing.batch_scan_events, 0u)
-              << "batch path did not engage; weak test";
-        }
-      }
-      for (size_t shards : {1u, 2u, 4u}) {
-        ShardedEngineOptions engine_options;
-        engine_options.num_shards = shards;
-        engine_options.batch_ingest = batch;
-        ShardedEngine engine(engine_options);
-        ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
-        CollectSink sink;
-        ASSERT_TRUE(
-            engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink)
-                .ok());
-        std::vector<Event> events = w.events;
-        const Status s = engine.PushAll(std::move(events));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        engine.Finish();
-        ExpectIdentical(baseline, sink.results(),
-                        "shards=" + std::to_string(shards) + " " + tag);
-      }
-    }
+  {
+    Engine engine;
+    const std::vector<RankedResult> batched =
+        Drive(engine, w, /*push_all=*/true);
+    ExpectGolden(per_event, batched, "serial PushAll");
+    EXPECT_GT(engine.Snapshot().sharing.batch_scan_events, 0u)
+        << "batch path did not engage; weak test";
+  }
+  for (size_t shards : {1u, 2u, 4u}) {
+    const std::string tag = "shards=" + std::to_string(shards);
+    ExpectGolden(per_event, RunSharded(w, shards), tag + " Push");
+    ExpectGolden(per_event, RunSharded(w, shards, nullptr, /*push_all=*/true),
+                 tag + " PushAll");
   }
 }
 
-// The new hot-path counters are deterministic per partition, so the
-// sharded engine's totals must equal the serial engine's for any shard
-// count — the same invariant the other matcher counters already obey.
 TEST(CowEquivalenceTest, HotPathCountersMatchSerialTotals) {
   const Workload w = SkipTillAnyWorkload(42);
 

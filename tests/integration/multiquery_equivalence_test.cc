@@ -1,11 +1,11 @@
 // Property suite for the shared multi-query evaluation layer
 // (docs/MULTIQUERY.md): template interning, predicate-index dispatch and
 // shared window tracking are pure routing optimizations, so every query in
-// a fleet must produce byte-identical ranked output with shared evaluation
-// on or off — serial and sharded at every shard count, under an injected
-// fault schedule (which degrades the shared path), and under bounded
-// out-of-order arrival. Plus the hot add/remove template-refcount
-// regression.
+// a fleet must produce byte-identical ranked output to the same query run
+// alone in its own engine (the unshared baseline) — serial and sharded at
+// every shard count, under an injected fault schedule (which degrades the
+// shared path), and under bounded out-of-order arrival. Plus the hot
+// add/remove template-refcount regression.
 
 #include <gtest/gtest.h>
 
@@ -73,11 +73,40 @@ std::vector<std::pair<std::string, std::string>> Fleet() {
 
 using FleetResults = std::map<std::string, std::vector<RankedResult>>;
 
-FleetResults RunSerial(const std::vector<Event>& events, bool shared,
+// The unshared baseline: each fleet query registered alone in its own
+// serial engine over the in-order stream (a fresh injector per engine when
+// `poison` is set), so no template, index entry or window group is shared
+// with another query.
+FleetResults RunIsolated(const std::vector<Event>& events,
+                         const std::vector<uint64_t>* poison = nullptr) {
+  FleetResults out;
+  for (const auto& [name, query] : Fleet()) {
+    FaultInjector injector(1);
+    EngineOptions options;
+    if (poison != nullptr) {
+      injector.ArmKeys(fault_points::kEvalPoison, *poison);
+      options.fault_policy = FaultPolicy::kSkipAndCount;
+      options.fault_injector = &injector;
+    }
+    Engine engine(options);
+    EXPECT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
+    CollectSink sink;
+    const Status s = engine.RegisterQuery(name, query, QueryOptions{}, &sink);
+    EXPECT_TRUE(s.ok()) << name << ": " << s.ToString();
+    for (const Event& e : events) {
+      const Status push = engine.Push(Event(e));
+      EXPECT_TRUE(push.ok()) << push.ToString();
+    }
+    engine.Finish();
+    out[name] = sink.results();
+  }
+  return out;
+}
+
+FleetResults RunSerial(const std::vector<Event>& events,
                        Timestamp max_lateness = 0,
                        const FaultInjector* injector = nullptr) {
   EngineOptions options;
-  options.shared_eval = shared;
   options.max_lateness_micros = max_lateness;
   if (injector != nullptr) {
     options.fault_policy = FaultPolicy::kSkipAndCount;
@@ -96,19 +125,17 @@ FleetResults RunSerial(const std::vector<Event>& events, bool shared,
     EXPECT_TRUE(push.ok()) << push.ToString();
   }
   engine.Finish();
-  EXPECT_EQ(engine.shared_eval_active(), shared && injector == nullptr)
-      << "shared=" << shared;
+  EXPECT_EQ(engine.shared_eval_active(), injector == nullptr);
   FleetResults out;
   for (auto& [name, sink] : sinks) out[name] = sink.results();
   return out;
 }
 
-FleetResults RunSharded(const std::vector<Event>& events, bool shared,
-                        size_t num_shards, Timestamp max_lateness = 0,
+FleetResults RunSharded(const std::vector<Event>& events, size_t num_shards,
+                        Timestamp max_lateness = 0,
                         const FaultInjector* injector = nullptr) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.shared_eval = shared;
   options.max_lateness_micros = max_lateness;
   if (injector != nullptr) {
     options.fault_policy = FaultPolicy::kSkipAndCount;
@@ -163,50 +190,42 @@ size_t TotalResults(const FleetResults& r) {
 TEST(MultiQueryEquivalenceTest, SharedSerialIdenticalToUnshared) {
   for (uint64_t seed : {42u, 7u}) {
     const auto events = StockEvents(seed, 4000);
-    const auto baseline = RunSerial(events, /*shared=*/false);
+    const auto baseline = RunIsolated(events);
     EXPECT_GT(TotalResults(baseline), 0u) << "weak workload";
-    ExpectIdentical(baseline, RunSerial(events, /*shared=*/true),
+    ExpectIdentical(baseline, RunSerial(events),
                     "serial seed=" + std::to_string(seed));
   }
 }
 
 TEST(MultiQueryEquivalenceTest, SharedShardedIdenticalToUnsharedSerial) {
   const auto events = StockEvents(42, 3000);
-  const auto baseline = RunSerial(events, /*shared=*/false);
+  const auto baseline = RunIsolated(events);
   EXPECT_GT(TotalResults(baseline), 0u) << "weak workload";
   for (size_t shards : {1u, 2u, 4u}) {
-    ExpectIdentical(baseline, RunSharded(events, /*shared=*/true, shards),
-                    "sharded shared shards=" + std::to_string(shards));
-    ExpectIdentical(baseline, RunSharded(events, /*shared=*/false, shards),
-                    "sharded unshared shards=" + std::to_string(shards));
+    ExpectIdentical(baseline, RunSharded(events, shards),
+                    "sharded shards=" + std::to_string(shards));
   }
 }
 
 TEST(MultiQueryEquivalenceTest, IdenticalUnderInjectedFaults) {
   // An armed injector degrades the shared path to full per-query visits so
-  // the schedule fires at per-query-path positions; output must still be
-  // identical to the unshared faulted run.
+  // the schedule fires at the same positions; output must still be
+  // identical to each query's faulted run alone.
   const auto events = StockEvents(42, 3000);
   const std::vector<uint64_t> poison_keys = {7, 100, 101, 555, 1500, 2999};
 
-  FaultInjector baseline_injector(1);
-  baseline_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  const auto baseline =
-      RunSerial(events, /*shared=*/false, 0, &baseline_injector);
+  const auto baseline = RunIsolated(events, &poison_keys);
   EXPECT_GT(TotalResults(baseline), 0u) << "weak faulted workload";
 
-  FaultInjector shared_injector(1);
-  shared_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  ExpectIdentical(baseline,
-                  RunSerial(events, /*shared=*/true, 0, &shared_injector),
-                  "faulted serial shared");
+  FaultInjector serial_injector(1);
+  serial_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
+  ExpectIdentical(baseline, RunSerial(events, 0, &serial_injector),
+                  "faulted serial");
 
   FaultInjector sharded_injector(1);
   sharded_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  ExpectIdentical(
-      baseline,
-      RunSharded(events, /*shared=*/true, 2, 0, &sharded_injector),
-      "faulted sharded shared");
+  ExpectIdentical(baseline, RunSharded(events, 2, 0, &sharded_injector),
+                  "faulted sharded");
 }
 
 // Shuffles within consecutive event-time blocks of span <= bound (the
@@ -233,21 +252,16 @@ TEST(MultiQueryEquivalenceTest, IdenticalUnderDisorder) {
   constexpr Timestamp kLateness = 5000;  // 5ms, a few events deep
   const auto events = StockEvents(42, 3000);
   const auto shuffled = BlockShuffle(events, kLateness, 1234);
-  const auto baseline = RunSerial(events, /*shared=*/false);
+  const auto baseline = RunIsolated(events);
   EXPECT_GT(TotalResults(baseline), 0u) << "weak workload";
-  ExpectIdentical(baseline,
-                  RunSerial(shuffled, /*shared=*/true, kLateness),
-                  "disorder serial shared");
-  ExpectIdentical(baseline,
-                  RunSharded(shuffled, /*shared=*/true, 2, kLateness),
-                  "disorder sharded shared");
+  ExpectIdentical(baseline, RunSerial(shuffled, kLateness), "disorder serial");
+  ExpectIdentical(baseline, RunSharded(shuffled, 2, kLateness),
+                  "disorder sharded");
 }
 
 TEST(MultiQueryEquivalenceTest, SharingCountersAreLive) {
   const auto events = StockEvents(42, 2000);
-  EngineOptions options;
-  options.shared_eval = true;
-  Engine engine(options);
+  Engine engine;
   ASSERT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   std::map<std::string, CollectSink> sinks;
   for (const auto& [name, query] : Fleet()) {
@@ -284,7 +298,6 @@ TEST(MultiQueryEquivalenceTest, ShardedSharingCountersAreLive) {
   const auto events = StockEvents(42, 2000);
   ShardedEngineOptions options;
   options.num_shards = 2;
-  options.shared_eval = true;
   ShardedEngine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   std::map<std::string, CollectSink> sinks;

@@ -11,12 +11,24 @@
 namespace cepr {
 namespace {
 
+// gtest names each instance after the raw bytes of its Case. The padding
+// is spelled out and zeroed so that those names hold no stray stack bytes
+// and stay the same from one build to the next.
 struct Case {
+  Case(int limit, bool desc, int num_events, double v_probability)
+      : limit(limit),
+        desc(desc),
+        num_events(num_events),
+        v_probability(v_probability) {}
+
   int limit;
   bool desc;
+  char pad0[3] = {};
   int num_events;
+  int pad1 = 0;
   double v_probability;
 };
+static_assert(sizeof(Case) == 24, "Case must keep its 24-byte layout");
 
 class RankEquivalenceTest : public ::testing::TestWithParam<Case> {};
 

@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
+#include "testing/helpers.h"
 #include "workload/forkheavy.h"
 #include "workload/stock.h"
 
@@ -180,11 +181,9 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
       shards, stream, arrivals, plan.lateness, injector);
   ASSERT_FALSE(reference.empty()) << "workload produced no results; weak test";
 
-  const std::string snap = ::testing::TempDir() + label + ".ckpt";
-  const std::string wal = ::testing::TempDir() + label + ".wal";
-  std::remove(snap.c_str());
-  std::remove((snap + ".tmp").c_str());
-  std::remove(wal.c_str());
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File(label + ".ckpt");
+  const std::string wal = dir.File(label + ".wal");
 
   // --- Phase 1: the doomed process. ---------------------------------------
   std::vector<RankedResult> prefix;  // delivered at the last published snapshot
@@ -486,7 +485,8 @@ INSTANTIATE_TEST_SUITE_P(Engines, RecoveryTest,
 
 TEST(RecoveryValidationTest, RestoreRequiresPristineEngine) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_pristine.ckpt";
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("pristine.ckpt");
   {
     Engine writer;
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
@@ -500,7 +500,8 @@ TEST(RecoveryValidationTest, RestoreRequiresPristineEngine) {
 
 TEST(RecoveryValidationTest, EngineKindMismatchIsRejected) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_kind.ckpt";
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("kind.ckpt");
   {
     Engine writer;
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
@@ -514,7 +515,8 @@ TEST(RecoveryValidationTest, EngineKindMismatchIsRejected) {
 
 TEST(RecoveryValidationTest, ShardCountMismatchIsRejected) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_shards.ckpt";
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("shards.ckpt");
   {
     ShardedEngineOptions options;
     options.num_shards = 2;
@@ -533,9 +535,9 @@ TEST(RecoveryValidationTest, ShardCountMismatchIsRejected) {
 }
 
 TEST(RecoveryValidationTest, MissingSnapshotIsNotFound) {
+  const testing::ScopedTestDir dir;
   Engine engine;
-  const Status s = engine.Restore(
-      ::testing::TempDir() + "recovery_no_such_file.ckpt", "", nullptr);
+  const Status s = engine.Restore(dir.File("no_such_file.ckpt"), "", nullptr);
   EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
 }
 
@@ -543,9 +545,9 @@ TEST(RecoveryValidationTest, NullResolverDropsResultsButRecoversState) {
   // Restoring without sinks is legal (a metrics-only or drain use case):
   // state is rebuilt, results go nowhere.
   const StockStream stream = InOrderStock(2000);
-  const std::string snap = ::testing::TempDir() + "recovery_nullsink.ckpt";
-  const std::string wal = ::testing::TempDir() + "recovery_nullsink.wal";
-  std::remove(wal.c_str());
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("nullsink.ckpt");
+  const std::string wal = dir.File("nullsink.wal");
   {
     Engine writer;
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());

@@ -18,7 +18,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -29,6 +28,8 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "runtime/engine.h"
+#include "runtime/serde.h"
+#include "testing/helpers.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -108,15 +109,6 @@ QueryOptions PrunedOptions() {
   QueryOptions options;
   options.ranker = RankerPolicy::kPruned;
   return options;
-}
-
-std::string FreshDataDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/snapshot.ckpt").c_str());
-  std::remove((dir + "/snapshot.ckpt.tmp").c_str());
-  std::remove((dir + "/wal.log").c_str());
-  return dir;
 }
 
 // --- Wire bit-identity ------------------------------------------------------
@@ -262,14 +254,15 @@ TEST(ServerTest, HotDeployMidStreamSeesOnlyLaterEvents) {
 // Shared body: kill the serving process at arrival `kill_at`, restart on
 // the same data_dir, reconnect, finish the stream, and require exact
 // coverage of the reference whatever checkpoint cadence was active.
-void RunKillRestart(ServerOptions base_options, const std::string& dir_name,
+void RunKillRestart(ServerOptions base_options,
                     bool explicit_midstream_checkpoint) {
   const std::vector<Event> events = StockEvents(4000);
   const size_t kill_at = 2500;
   const std::vector<RankedResult> reference = RunReference(events);
   ASSERT_FALSE(reference.empty());
 
-  base_options.data_dir = FreshDataDir(dir_name);
+  const testing::ScopedTestDir data_dir;
+  base_options.data_dir = data_dir.path();
 
   // --- Life 1: the doomed server. ---
   auto server1 = std::make_unique<CeprServer>(base_options);
@@ -331,12 +324,12 @@ void RunKillRestart(ServerOptions base_options, const std::string& dir_name,
 TEST(ServerRecoveryTest, KillRestartWithTimerCheckpoints) {
   ServerOptions options;
   options.checkpoint_interval_ms = 20;  // cuts land wherever the timer fires
-  RunKillRestart(options, "server_recovery_timer", false);
+  RunKillRestart(options, false);
 }
 
 TEST(ServerRecoveryTest, KillRestartWithExplicitCheckpoint) {
   ServerOptions options;  // no timer: exactly checkpoint 0 + the forced cut
-  RunKillRestart(options, "server_recovery_explicit", true);
+  RunKillRestart(options, true);
 }
 
 TEST(ServerRecoveryTest, ShardedKillRestart) {
@@ -347,7 +340,8 @@ TEST(ServerRecoveryTest, ShardedKillRestart) {
 
   ServerOptions options;
   options.num_shards = 2;
-  options.data_dir = FreshDataDir("server_recovery_sharded");
+  const testing::ScopedTestDir data_dir;
+  options.data_dir = data_dir.path();
 
   auto server1 = std::make_unique<CeprServer>(options);
   ASSERT_TRUE(server1->Start().ok());
@@ -541,7 +535,18 @@ TEST(ServerRobustnessTest, MalformedBodiesAreInBandErrorsSessionSurvives) {
     w.U8(static_cast<uint8_t>(MsgType::kResult));
     EXPECT_EQ(roundtrip(w.Take()), StatusCode::kInvalidArgument);
   }
-  // After five malformed bodies the same session still serves real work.
+  {  // kDeploy whose WHERE nests 5000 parentheses deep (~10KB of text)
+    const std::string text =
+        "SELECT a.price FROM Stock MATCH PATTERN SEQ(a) WHERE " +
+        std::string(5000, '(') + "a.price > 1" + std::string(5000, ')');
+    BinWriter w;
+    w.U8(static_cast<uint8_t>(MsgType::kDeploy));
+    w.Str("deep");
+    w.Str(text);
+    SaveQueryOptions(&w, QueryOptions{});
+    EXPECT_EQ(roundtrip(w.Take()), StatusCode::kInvalidArgument);
+  }
+  // After six malformed bodies the same session still serves real work.
   {
     BinWriter w;
     w.U8(static_cast<uint8_t>(MsgType::kMetrics));
@@ -570,6 +575,31 @@ TEST(ServerRobustnessTest, ProtocolVersionAndHelloAreEnforced) {
     ASSERT_TRUE(r.U8(&type) && DecodeReplyBody(&r, &code, &message, &body));
     EXPECT_EQ(static_cast<StatusCode>(code), StatusCode::kInvalidArgument);
     EXPECT_NE(message.find("version"), std::string::npos) << message;
+  }
+  {  // a protocol-v1 client: in-band error, and the session stays open
+    RawConn conn(server.port());
+    ASSERT_GE(conn.fd, 0);
+    BinWriter w;
+    w.U8(static_cast<uint8_t>(MsgType::kHello));
+    w.U32(1);
+    ASSERT_TRUE(WriteFrame(conn.fd, w.Take()).ok());
+    std::string frame;
+    ASSERT_TRUE(ReadFrame(conn.fd, &frame).ok());
+    BinReader r(frame);
+    uint8_t type = 0;
+    uint8_t code = 0;
+    std::string message;
+    std::string body;
+    ASSERT_TRUE(r.U8(&type) && DecodeReplyBody(&r, &code, &message, &body));
+    EXPECT_EQ(static_cast<StatusCode>(code), StatusCode::kInvalidArgument);
+    EXPECT_NE(message.find("unsupported protocol version 1"), std::string::npos)
+        << message;
+    ASSERT_TRUE(WriteFrame(conn.fd, HelloPayload()).ok());
+    ASSERT_TRUE(ReadFrame(conn.fd, &frame).ok());
+    BinReader ok_reader(frame);
+    ASSERT_TRUE(ok_reader.U8(&type) &&
+                DecodeReplyBody(&ok_reader, &code, &message, &body));
+    EXPECT_EQ(static_cast<StatusCode>(code), StatusCode::kOk) << message;
   }
   {  // request before hello
     RawConn conn(server.port());

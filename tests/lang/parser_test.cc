@@ -247,5 +247,40 @@ TEST(ParserTest, UnparseCreateStreamRoundTrips) {
   EXPECT_EQ(c2->ToString(), c1.ToString());
 }
 
+// Hostile nesting fails as InvalidArgument with a position instead of
+// overflowing the recursive-descent parser's stack (or a later pass's).
+TEST(ParserTest, NestingDepthIsBounded) {
+  constexpr int kLevels = 100000;
+  const std::string prefix = "SELECT * FROM S MATCH PATTERN SEQ(a) WHERE ";
+  std::string parens = prefix + std::string(kLevels, '(') + "a.x > 1" +
+                       std::string(kLevels, ')');
+  std::string nots = prefix;
+  for (int i = 0; i < kLevels; ++i) nots += "NOT ";
+  nots += "a.x > 1";
+  std::string negs = prefix;  // "- - -": "--" would open a comment
+  for (int i = 0; i < kLevels; ++i) negs += "- ";
+  negs += "a.x > 1";
+  std::string chain = prefix + "a.x";
+  for (int i = 0; i < kLevels; ++i) chain += " + a.x";
+  chain += " > 1";
+  std::string in_list = prefix + "a.x IN (0";
+  for (int i = 1; i < kLevels; ++i) in_list += ", " + std::to_string(i);
+  in_list += ")";
+  for (const std::string* text : {&parens, &nots, &negs, &chain, &in_list}) {
+    const auto q = ParseQuery(*text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find("nests too deeply"), std::string::npos)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find("line 1, column "), std::string::npos)
+        << q.status().ToString();
+  }
+  // Moderate nesting still parses.
+  const auto ok = ParseQuery(prefix + std::string(300, '(') + "a.x > 1" +
+                             std::string(300, ')'));
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
 }  // namespace
 }  // namespace cepr

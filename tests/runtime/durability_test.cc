@@ -16,6 +16,7 @@
 #include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
 #include "runtime/wal.h"
+#include "testing/helpers.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -168,7 +169,8 @@ TEST(IdempotenceTest, ShardedDoubleFlushMidStreamEqualsSingleFlush) {
 
 TEST(SnapshotTest, EmptyEngineRoundTripsOptionsAndSchemas) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "durability_empty.ckpt";
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("empty.ckpt");
   {
     EngineOptions options;
     options.max_lateness_micros = 12345;
@@ -200,7 +202,8 @@ TEST(SnapshotTest, CheckpointIsAtomicAgainstOverwrite) {
   // a second checkpoint replaces the first in one step and the file is
   // always a complete, valid image.
   const StockStream stream = InOrderStock(2000);
-  const std::string snap = ::testing::TempDir() + "durability_atomic.ckpt";
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("atomic.ckpt");
   Engine engine;
   ASSERT_TRUE(engine.RegisterSchema(stream.schema).ok());
   CollectSink sink;
@@ -224,6 +227,32 @@ TEST(SnapshotTest, CheckpointIsAtomicAgainstOverwrite) {
   engine.Finish();
 }
 
+TEST(SnapshotTest, OlderFormatVersionIsRefused) {
+  // Format v3 dropped the option-block ablation bools, so a v2 image
+  // cannot be decoded; the header check must refuse it up front, naming
+  // the version and where it sits.
+  const StockStream stream = InOrderStock(10);
+  const testing::ScopedTestDir dir;
+  const std::string snap = dir.File("v3.ckpt");
+  {
+    Engine writer;
+    ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
+    ASSERT_TRUE(writer.Checkpoint(snap).ok());
+  }
+  std::string bytes = ReadFileOrDie(snap);
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], 3) << "snapshot header is not at format v3";
+  bytes[8] = 2;  // u32 version, little-endian, right after the 8-byte magic
+  const std::string old = dir.File("v2.ckpt");
+  WriteFileOrDie(old, bytes);
+  Engine engine;
+  const Status s = engine.Restore(old, "", nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();
+  EXPECT_NE(s.ToString().find("unsupported format version 2 at byte offset 8"),
+            std::string::npos)
+      << s.ToString();
+}
+
 // --- Chunked WAL open scan -------------------------------------------------
 
 TEST(WalScanTest, MultiMegabyteWalTruncatesTornTailIdenticallyToReadAll) {
@@ -233,7 +262,8 @@ TEST(WalScanTest, MultiMegabyteWalTruncatesTornTailIdenticallyToReadAll) {
   // torn tail lands relative to chunk boundaries (256KiB): Open truncates
   // to exactly the valid prefix WalReader::ReadAll sees, counts the same
   // records, and appending resumes cleanly.
-  const std::string path = ::testing::TempDir() + "durability_chunked.wal";
+  const testing::ScopedTestDir dir;
+  const std::string path = dir.File("chunked.wal");
   std::remove(path.c_str());
 
   // ~2000 records of ~2KB each => ~4MB, many scan chunks. Payload sizes are
@@ -298,8 +328,9 @@ class TornFileFuzzTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const StockStream stream = InOrderStock(2000);
     schema_ = stream.schema;
-    snap_path_ = ::testing::TempDir() + "durability_fuzz.ckpt";
-    wal_path_ = ::testing::TempDir() + "durability_fuzz.wal";
+    dir_ = new testing::ScopedTestDir("TornFileFuzzTest");
+    snap_path_ = dir_->File("fuzz.ckpt");
+    wal_path_ = dir_->File("fuzz.wal");
     std::remove(wal_path_.c_str());
     Engine engine;
     ASSERT_TRUE(engine.RegisterSchema(stream.schema).ok());
@@ -326,6 +357,8 @@ class TornFileFuzzTest : public ::testing::Test {
     delete wal_bytes_;
     snap_bytes_ = nullptr;
     wal_bytes_ = nullptr;
+    delete dir_;
+    dir_ = nullptr;
   }
 
   // A restore attempt against (possibly corrupted) files: must return a
@@ -342,12 +375,14 @@ class TornFileFuzzTest : public ::testing::Test {
   static std::string wal_path_;
   static std::string* snap_bytes_;
   static std::string* wal_bytes_;
+  static testing::ScopedTestDir* dir_;  // this process's scratch files
 };
 
 SchemaPtr TornFileFuzzTest::schema_;
 std::string TornFileFuzzTest::snap_path_;
 std::string TornFileFuzzTest::wal_path_;
 std::string* TornFileFuzzTest::snap_bytes_ = nullptr;
+testing::ScopedTestDir* TornFileFuzzTest::dir_ = nullptr;
 std::string* TornFileFuzzTest::wal_bytes_ = nullptr;
 
 TEST_F(TornFileFuzzTest, IntactFilesRestoreCleanly) {
@@ -356,7 +391,7 @@ TEST_F(TornFileFuzzTest, IntactFilesRestoreCleanly) {
 }
 
 TEST_F(TornFileFuzzTest, TruncatedSnapshotsFailCleanly) {
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz_trunc.ckpt";
+  const std::string mutant = dir_->File("fuzz_trunc.ckpt");
   Random rng(0xF112E);
   std::vector<size_t> cuts = {0, 1, 7, 8, 12, 13, 20, 21,
                               snap_bytes_->size() - 1};
@@ -375,7 +410,7 @@ TEST_F(TornFileFuzzTest, TruncatedSnapshotsFailCleanly) {
 }
 
 TEST_F(TornFileFuzzTest, BitFlippedSnapshotsFailCleanly) {
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz_flip.ckpt";
+  const std::string mutant = dir_->File("fuzz_flip.ckpt");
   Random rng(0xF11B);
   // Every header byte plus a seeded sample of the body.
   std::vector<size_t> offsets;
@@ -406,7 +441,7 @@ TEST_F(TornFileFuzzTest, CorruptedWalNeverCrashes) {
   // WAL damage is survivable by design (torn tails are truncated at open),
   // but damage before the snapshot's cut must be reported as corruption,
   // and nothing may crash, hang, or trip a sanitizer.
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz.walmut";
+  const std::string mutant = dir_->File("fuzz.walmut");
   Random wal_rng(0xA17);
   for (int i = 0; i < 24; ++i) {
     std::string bytes = *wal_bytes_;
@@ -437,7 +472,7 @@ TEST_F(TornFileFuzzTest, CorruptedWalNeverCrashes) {
 TEST_F(TornFileFuzzTest, WalTruncatedBelowCutNamesTheJournal) {
   // Deterministic case of the corruption path: journal cut off before the
   // snapshot's record count.
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz.walshort";
+  const std::string mutant = dir_->File("fuzz.walshort");
   WriteFileOrDie(mutant, wal_bytes_->substr(0, 32));
   const Status s = TryRestore(snap_path_, mutant);
   ASSERT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();

@@ -107,7 +107,7 @@ TEST_F(EngineTest, OutOfOrderEventsRejectedByDefault) {
 
 TEST_F(EngineTest, OutOfOrderClampedWhenConfigured) {
   EngineOptions options;
-  options.reject_out_of_order = false;
+  options.late_policy = LatePolicy::kClamp;
   Engine lenient(options);
   ASSERT_TRUE(lenient.ExecuteDdl(kDdl).ok());
   auto schema = lenient.GetSchema("Stock").value();
@@ -221,6 +221,43 @@ TEST(EnginePushAllTest, SkipAndCountSkipsBadEventsAndContinuesBatch) {
   EXPECT_EQ(engine.events_ingested(), 3u) << "good suffix must be ingested";
   EXPECT_EQ(engine.events_quarantined(), 1u);
   engine.Finish();
+}
+
+// `terms` copies of `term` folded right-nested through `op`:
+// t OP (t OP (t OP ...)) — every level needs one more VM register.
+std::string RightNested(const std::string& term, const std::string& op,
+                        int terms) {
+  std::string text = term;
+  for (int i = 1; i < terms; ++i) text = term + op + "(" + text + ")";
+  return text;
+}
+
+// The VM is total: an expression needing more registers than the bytecode
+// can address refuses the whole query (naming the expression) instead of
+// silently running on another evaluator.
+TEST_F(EngineTest, ExpressionTooDeepForTheVmIsRefused) {
+  const std::string sum = RightNested("a.price", " + ", 300);
+  std::string greatest = "a.price";
+  for (int i = 1; i < 300; ++i) greatest = "GREATEST(a.price, " + greatest + ")";
+  for (const std::string& expr : {sum, greatest}) {
+    const std::string query = "SELECT a.price FROM Stock MATCH PATTERN SEQ(a) "
+                              "WHERE a.price > 0 AND " + expr + " > 10";
+    const Status s = engine_.RegisterQuery("deep", query, QueryOptions{}, &sink_);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("VM registers"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("a.price"), std::string::npos) << s.ToString();
+  }
+  EXPECT_TRUE(engine_.QueryNames().empty());
+
+  // The same shape within the register file registers, every program
+  // compiled.
+  const std::string ok_query =
+      "SELECT a.price FROM Stock MATCH PATTERN SEQ(a) WHERE " +
+      RightNested("a.price", " + ", 200) + " > 10";
+  ASSERT_TRUE(
+      engine_.RegisterQuery("shallow", ok_query, QueryOptions{}, &sink_).ok());
+  EXPECT_EQ(engine_.Snapshot().sharing.bytecode_compiled_preds, 2u);
 }
 
 }  // namespace

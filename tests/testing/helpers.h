@@ -1,10 +1,16 @@
 #ifndef CEPR_TESTS_TESTING_HELPERS_H_
 #define CEPR_TESTS_TESTING_HELPERS_H_
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "event/event.h"
 #include "expr/eval.h"
@@ -92,6 +98,46 @@ class FakeContext : public EvalContext {
   std::vector<double> slots_;
   int candidate_var_ = -1;
   const Event* candidate_ = nullptr;
+};
+
+/// A scratch directory private to the running test case:
+/// `TempDir()/cepr_<Suite>.<Test>_<pid>/` ('/' in parameterized names
+/// becomes '_'). gtest_discover_tests runs every case as its own process
+/// and `ctest -j` runs those side by side, so fixed file names under
+/// TempDir() collide across cases; names under this directory cannot.
+/// Created empty on construction, removed with its contents on
+/// destruction — declare it before anything that writes into it. Outside
+/// a running test (SetUpTestSuite) pass the suite name explicitly.
+class ScopedTestDir {
+ public:
+  explicit ScopedTestDir(std::string name = "") {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    if (name.empty() && info != nullptr) {
+      name = std::string(info->test_suite_name()) + "." + info->name();
+    }
+    for (char& c : name) {
+      if (c == '/') c = '_';
+    }
+    path_ = ::testing::TempDir() + "cepr_" + name + "_" +
+            std::to_string(::getpid());
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::create_directories(path_, ec);
+  }
+  ~ScopedTestDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTestDir(const ScopedTestDir&) = delete;
+  ScopedTestDir& operator=(const ScopedTestDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// `<dir>/<file>`.
+  std::string File(const std::string& file) const { return path_ + "/" + file; }
+
+ private:
+  std::string path_;
 };
 
 }  // namespace testing
